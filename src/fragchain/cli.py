@@ -29,7 +29,10 @@ def _parse_links(text):
     text = text.strip()
     if not text:
         return []
-    return [int(x) for x in text.split(",")]
+    links = [int(x) for x in text.split(",")]
+    if len(set(links)) != len(links):
+        raise ValueError(f"duplicate link in subset {text!r}")
+    return links
 
 
 def _parse_labels(text):
@@ -210,6 +213,8 @@ def cmd_simulate(args):
     t = _parse_time(args.time, rates.mode)
     if (args.tree is None) == (args.subset is None):
         raise ValueError("simulate needs exactly one of --tree or --subset")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.tree is not None:
         tree = _load_tree_any(args.tree)
         if not isinstance(tree, fragments.FragTree):
@@ -297,16 +302,20 @@ def cmd_verify(args):
         oracle_rates = pr.RateSpec("discrete", rho)
     tgrid = [int(x) for x in args.t_grid.split(",")]
     err = 0.0
+    rerr = 0.0
+    recursion = {t: pr.dist_discrete_all(rates, t) for t in tgrid}
     for t in tgrid:
         table = pr.transition_matrix_dist(oracle_rates, t)
         for G, q in table.items():
-            p = pr.dist_discrete(G, rates, t)
+            p = pr.dist_discrete(G, rates, t, method="direct")
             err = max(err, abs(p - q))
-    groups.append(_group("discrete_formula_vs_matrix", err <= tol,
-                         f"n={rates.n}, t in {tgrid}, max|err|={err:.3e}"))
+            rerr = max(rerr, abs(recursion[t][G] - q))
+    groups.append(_group("discrete_formula_vs_matrix", max(err, rerr) <= tol,
+                         f"n={rates.n}, t in {tgrid}, max|err|={err:.3e}, "
+                         f"recursion max|err|={rerr:.3e}"))
 
     # normalization, discrete
-    err = max(abs(pr.dist_discrete_all(rates, t).total() - 1.0) for t in tgrid)
+    err = max(abs(recursion[t].total() - 1.0) for t in tgrid)
     groups.append(_group("normalization_discrete", err <= tol,
                          f"max|sum-1|={err:.3e}"))
 
@@ -316,7 +325,7 @@ def cmd_verify(args):
     for t in tgrid:
         for G in ends:
             err = max(err, abs(pr.dist_discrete_endpoints(G, rates, t)
-                               - pr.dist_discrete(G, rates, t)))
+                               - pr.dist_discrete(G, rates, t, method="direct")))
     groups.append(_group("endpoints_vs_tree_formula", err <= 1e-12,
                          f"max|err|={err:.3e}"))
 
@@ -401,6 +410,12 @@ def _coupling_agreement(rates, t, samples, seed, rng):
 
 # -- parser ------------------------------------------------------------------
 
+METHOD_HELP = ("discrete route: auto (default) is the interval recursion; "
+               "direct and expanded are the paper's tree/inclusion-exclusion "
+               "formula with that lambda-difference denominator")
+BUDGET_HELP = ("cap on the term count of tree enumeration and the tree-formula "
+               "route; the interval recursion ignores it")
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -419,8 +434,9 @@ def build_parser():
     d.add_argument("--oracle", action="store_true",
                    help="transition-matrix/generator route instead of the formulas")
     d.add_argument("--method", default="auto",
-                   choices=["auto", "direct", "expanded"])
-    d.add_argument("--budget", type=int, default=fragments.DEFAULT_BUDGET)
+                   choices=["auto", "direct", "expanded"], help=METHOD_HELP)
+    d.add_argument("--budget", type=int, default=fragments.DEFAULT_BUDGET,
+                   help=BUDGET_HELP)
     d.add_argument("--format", default="csv", choices=["csv", "json"])
     d.add_argument("--out")
     d.set_defaults(func=cmd_dist)
@@ -431,14 +447,15 @@ def build_parser():
     tp.add_argument("--time", required=True)
     tp.add_argument("--exact", action="store_true")
     tp.add_argument("--method", default="auto",
-                    choices=["auto", "direct", "expanded"])
+                    choices=["auto", "direct", "expanded"], help=METHOD_HELP)
     tp.set_defaults(func=cmd_treeprob)
 
     tr = sub.add_parser("trees", help="enumerate fragmentation trees")
     tr.add_argument("--links", type=int, required=True)
     tr.add_argument("--subset", required=True)
     tr.add_argument("--format", default="json", choices=["json", "dot", "count"])
-    tr.add_argument("--budget", type=int, default=fragments.DEFAULT_BUDGET)
+    tr.add_argument("--budget", type=int, default=fragments.DEFAULT_BUDGET,
+                    help=BUDGET_HELP)
     tr.add_argument("--out")
     tr.set_defaults(func=cmd_trees)
 

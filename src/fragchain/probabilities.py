@@ -2,14 +2,28 @@
 
 Links 1..n break one per fragment per step (discrete chain) or independently
 at exponential rates (continuous chain). The state is the set G of broken
-links. Two evaluation routes exist for everything: closed-form/inclusion-
-exclusion formulas driven by fragmentation trees, and brute-force transition
-matrix or generator oracles; they are kept separate so they can be compared.
+links. Discrete-chain probabilities have three routes:
+
+* the interval recursion, the default (method="auto"): once the first link a
+  of an intact interval I breaks, the two sides I' and I'' evolve
+  independently, so
+  f_I(t) = lambda_I f_I(t-1) + sum over a in G of rho(a) f_I'(t-1) f_I''(t-1).
+  It touches O(|G|^2) intervals, costs O(|G|^3 t), and every term is
+  nonnegative, so float results are accurate in relative terms. With the
+  root of every interval fixed it gives one tree's probability;
+* the paper's route (method="direct" or "expanded"): a sum over the
+  Catalan(|G|) fragmentation trees of G, each an inclusion-exclusion sum
+  over the 2^(|G|-1) cut sets of its edges. The method names the way
+  lambda_diff forms the waiting-rate denominators. Only this route and tree
+  enumeration are subject to the enumeration budget (BudgetError);
+* oracles: the transition-matrix power (discrete) and the generator
+  exponential (continuous), built straight from the one-step definition and
+  kept for comparison only.
 
 Discrete-chain quantities support an exact rational mode: pass rates as
-Fraction values and every formula is evaluated in Fraction arithmetic with
-no rounding anywhere. Float mode orders alternating sums by subset size and
-accumulates with compensated (Neumaier) summation.
+Fraction values and every route is evaluated in Fraction arithmetic with no
+rounding anywhere. Float mode orders the paper's alternating sums by subset
+size and accumulates with compensated (Neumaier) summation.
 
 Key quantity: for a removed set S inside an interval I, lambda^I_S is the
 probability that one step changes nothing, the product over the fragments J
@@ -20,14 +34,14 @@ states are sorted by size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, ConsistencyError
-from .fragments import (DEFAULT_BUDGET, Fragment, FragTree, catalan,
-                        chain_fragments, enumerate_fragmentation_trees,
-                        fragments_of)
+from .errors import ConsistencyError
+from .fragments import (DEFAULT_BUDGET, Fragment, chain_fragments,
+                        enumerate_fragmentation_trees)
 
 MATRIX_MAX_N = 12
 GENERATOR_MAX_N = 10
@@ -201,7 +215,7 @@ def dist_continuous(G, rates, t):
     p = 1.0
     for a in range(1, rates.n + 1):
         r = float(rates.rho(a))
-        p *= (1.0 - math.exp(-r * t)) if a in g else math.exp(-r * t)
+        p *= -math.expm1(-r * t) if a in g else math.exp(-r * t)
     return p
 
 
@@ -270,28 +284,116 @@ def tree_prob_continuous(tree, rates, t):
     for size, hmask in _edge_submasks_by_size(tree):
         comp = tree.component_masks(hmask)
         stump_rho = msum(comp[tree.root])
-        term = (1.0 - math.exp(-stump_rho * t)) * math.exp(-(total_f - stump_rho) * t)
+        term = -math.expm1(-stump_rho * t) * math.exp(-(total_f - stump_rho) * t)
         for a in tree.G:
             term *= rho_f[a] / msum(comp[a])
         terms.append(-term if size & 1 else term)
     return _clamp_prob(neumaier_sum(terms), False)
 
 
+class _IntervalLaws:
+    """The interval recursion, memoised for one call at one horizon t.
+
+    law(lo, hi, mask)[u] is the probability that the interval lo..hi, whole
+    at step 0, has lost exactly the links of mask (bit a-1 = link a, all
+    inside the interval) by step u, for u = 0..t. The memo depends on G only
+    through G inside the interval, so a full table shares it across states.
+    """
+
+    def __init__(self, rates, t):
+        self.rates = rates
+        self.t = t
+        self.rho = [None] + [rates.rho(a) for a in range(1, rates.n + 1)]
+        self.zero = rates.one - rates.one
+        self.memo = {}
+
+    def lam(self, lo, hi):
+        return self.rates.one - self.rates.rho_sum(range(lo, hi + 1))
+
+    def law(self, lo, hi, mask):
+        key = (lo, hi, mask)
+        f = self.memo.get(key)
+        if f is None:
+            if not mask:
+                lam = self.lam(lo, hi)
+                f = [lam ** u for u in range(self.t + 1)]
+            else:
+                h = None
+                m = mask
+                while m:
+                    low = m & -m
+                    m ^= low
+                    a = low.bit_length()
+                    h = self._add_break(h, a, self.law(lo, a - 1, mask & (low - 1)),
+                                        self.law(a + 1, hi, mask & -(low << 1)))
+                f = self._scan(self.lam(lo, hi), h)
+            self.memo[key] = f
+        return f
+
+    def tree_law(self, tree):
+        """The law of matching the tree: each vertex is the first break of
+        its interval, and each side then follows the child on that side, or
+        stays whole when there is none."""
+        if tree.root is None:
+            return self.law(1, tree.n, 0)
+        g = {}
+        for a in tree.postorder:
+            lo, hi, lc, rc = tree.lo[a], tree.hi[a], tree.left[a], tree.right[a]
+            left = g[lc] if lc is not None else self.law(lo, a - 1, 0)
+            right = g[rc] if rc is not None else self.law(a + 1, hi, 0)
+            g[a] = self._scan(self.lam(lo, hi), self._add_break(None, a, left, right))
+        return g[tree.root]
+
+    def _add_break(self, h, a, left, right):
+        """h + rho(a) * left * right, term by term."""
+        r = self.rho[a]
+        if h is None:
+            return [r * x * y for x, y in zip(left, right)]
+        return [s + r * x * y for s, x, y in zip(h, left, right)]
+
+    def _scan(self, lam, h):
+        """f(0) = 0 and f(u) = lam * f(u-1) + h(u-1) for u = 1..t."""
+        acc = self.zero
+        f = [acc]
+        for u in range(self.t):
+            acc = lam * acc + h[u]
+            f.append(acc)
+        return f
+
+
+def _state_mask(G, n):
+    g = set(G)
+    if any(not 1 <= a <= n for a in g):
+        raise ValueError("links must lie in 1..n")
+    return sum(1 << (a - 1) for a in g)
+
+
+def _check_method(method):
+    if method not in ("auto", "direct", "expanded"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def tree_prob_discrete(tree, rates, t, method="auto"):
     """P(the discrete chain matches this fragmentation tree at time t).
 
-    Inclusion-exclusion over cut sets H: terms combine the no-change
-    eigenvalues lambda^L of the stump state with per-vertex waiting weights
-    rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty).
-    Exact in rational mode; compensated float sum otherwise. `method`
-    selects the denominator route (see lambda_diff).
+    "auto" runs the interval recursion with the root of every interval
+    fixed by the tree: g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
+    g_right(u-1). "direct" and "expanded" run the paper's inclusion-exclusion
+    over cut sets H: terms combine the no-change eigenvalues lambda^L of the
+    stump state with per-vertex waiting weights
+    rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty),
+    the method naming the denominator route (see lambda_diff). Exact in
+    rational mode; compensated float sum otherwise.
     """
     if rates.mode != "discrete":
         raise ValueError("tree_prob_discrete needs discrete rates")
     _check_time(t, "discrete")
+    _check_method(method)
     n = rates.n
     if tree.n != n:
         raise ValueError("tree and rates disagree on n")
+    if method == "auto":
+        return _clamp_prob(_IntervalLaws(rates, t).tree_law(tree)[t], rates.exact)
     if not tree.G:
         return lam_interval(rates, [], 1, n) ** t
     pow0 = lam_interval(rates, [], 1, n) ** t
@@ -319,11 +421,20 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
 
 
 def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
-    """P(state = G at time t) for the discrete chain: the sum of the matching
-    probabilities of all fragmentation trees of G."""
+    """P(state = G at time t) for the discrete chain.
+
+    "auto" runs the interval recursion. "direct" and "expanded" sum the
+    matching probabilities of all fragmentation trees of G by the paper's
+    formula; only they are subject to the budget.
+    """
     if rates.mode != "discrete":
         raise ValueError("dist_discrete needs discrete rates")
     _check_time(t, "discrete")
+    _check_method(method)
+    if method == "auto":
+        mask = _state_mask(G, rates.n)
+        return _clamp_prob(_IntervalLaws(rates, t).law(1, rates.n, mask)[t],
+                           rates.exact)
     trees = enumerate_fragmentation_trees(G, rates.n, budget)
     vals = [tree_prob_discrete(tr, rates, t, method) for tr in trees]
     if rates.exact:
@@ -378,14 +489,31 @@ class DistTable:
         return math.fsum(vals)
 
 
+@functools.lru_cache(maxsize=1)
+def _state_keys(n):
+    """The 2^n states as sorted link tuples, indexed by bitmask (bit a-1 =
+    link a). Kept for the last n asked, so tables of one chain share their
+    keys instead of each holding 2^n fresh tuples."""
+    return tuple(tuple(_mask_links_n(m)) for m in range(1 << n))
+
+
 def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
-    """Full DistTable over every subset of 1..n by the tree formula."""
+    """Full DistTable over every subset of 1..n. "auto" shares one interval
+    recursion memo across all states; the other methods evaluate the
+    paper's formula state by state."""
     if rates.n > 20:
         raise ValueError("full tables are limited to n <= 20")
-    entries = {}
-    for mask in range(1 << rates.n):
-        G = tuple(a + 1 for a in range(rates.n) if mask >> a & 1)
-        entries[G] = dist_discrete(G, rates, t, budget, method)
+    if rates.mode != "discrete":
+        raise ValueError("dist_discrete_all needs discrete rates")
+    _check_time(t, "discrete")
+    _check_method(method)
+    keys = _state_keys(rates.n)
+    if method == "auto":
+        laws = _IntervalLaws(rates, t)
+        entries = {G: _clamp_prob(laws.law(1, rates.n, mask)[t], rates.exact)
+                   for mask, G in enumerate(keys)}
+    else:
+        entries = {G: dist_discrete(G, rates, t, budget, method) for G in keys}
     return DistTable("discrete", t, entries)
 
 
@@ -393,10 +521,7 @@ def dist_continuous_all(rates, t):
     """Full DistTable over every subset of 1..n by the closed form."""
     if rates.n > 20:
         raise ValueError("full tables are limited to n <= 20")
-    entries = {}
-    for mask in range(1 << rates.n):
-        G = tuple(a + 1 for a in range(rates.n) if mask >> a & 1)
-        entries[G] = dist_continuous(G, rates, t)
+    entries = {G: dist_continuous(G, rates, t) for G in _state_keys(rates.n)}
     return DistTable("continuous", t, entries)
 
 
@@ -457,8 +582,7 @@ def transition_matrix_dist(rates, t):
                 for s2, q in rows[s].items():
                     nxt[s2] = nxt.get(s2, Fraction(0)) + p * q
             v = nxt
-        entries = {tuple(_mask_links_n(m)): v.get(m, Fraction(0))
-                   for m in range(1 << n)}
+        entries = {G: v.get(m, Fraction(0)) for m, G in enumerate(_state_keys(n))}
         return DistTable("discrete", t, entries)
     import numpy as np
     from scipy.sparse import csr_matrix
@@ -473,7 +597,7 @@ def transition_matrix_dist(rates, t):
     v[0] = 1.0
     for _ in range(t):
         v = v @ P
-    entries = {tuple(_mask_links_n(m)): float(v[m]) for m in range(1 << n)}
+    entries = {G: float(v[m]) for m, G in enumerate(_state_keys(n))}
     return DistTable("discrete", t, entries)
 
 
@@ -497,7 +621,7 @@ def generator_matrix_dist(rates, t):
                 Q[s, s | bit] = float(rates.rho(a))
         Q[s, s] = -Q[s].sum()
     P = expm(Q * float(t))
-    entries = {tuple(_mask_links_n(m)): float(P[0, m]) for m in range(size)}
+    entries = {G: float(P[0, m]) for m, G in enumerate(_state_keys(n))}
     return DistTable("continuous", float(t), entries)
 
 

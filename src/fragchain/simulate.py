@@ -147,6 +147,7 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED, threads=1):
     sqrt(p(1-p)/N). Trajectory index i always uses substream (seed, i), so
     results are identical for any thread count; threads only split the index
     range."""
+    _check_sampling(samples, threads)
     sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
     ratesf = rates.as_float()
 
@@ -164,6 +165,7 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED, threads=1):
 
 def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED, threads=1):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
+    _check_sampling(samples, threads)
     target = frozenset(G)
     sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
     ratesf = rates.as_float()
@@ -190,6 +192,13 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
         key = classify_tree(sim(ratesf, t, seed, i), t).structure_key()
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def _check_sampling(samples, threads=1):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _run_chunks(count, samples, threads):
@@ -401,6 +410,7 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     """Matching-probability estimate from the coupled construction: a
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
+    _check_sampling(samples)
     hits = 0
     target = frozenset(tree.G)
     for i in range(samples):

@@ -256,3 +256,38 @@ def test_verify_negative_control(rates_file, capsys):
 def test_usage_errors():
     assert run(["no-such-command"]) == 2
     assert run(["dist"]) == 2  # missing required arguments
+
+
+def test_simulate_rejects_zero_samples(rates_file, capsys):
+    assert run(["simulate", "--rates", rates_file, "--time", "2",
+                "--subset", "2", "--samples", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_simulate_rejects_negative_samples(rates_file, tree_file, capsys):
+    assert run(["simulate", "--rates", rates_file, "--time", "2",
+                "--subset", "2", "--samples", "-5"]) == 2
+    assert run(["simulate", "--rates", rates_file, "--time", "2",
+                "--tree", tree_file, "--samples", "-5", "--coupled"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_simulate_rejects_zero_threads(rates_file, tree_file, capsys):
+    assert run(["simulate", "--rates", rates_file, "--time", "2",
+                "--subset", "2", "--samples", "100", "--threads", "0"]) == 2
+    assert run(["simulate", "--rates", rates_file, "--time", "2",
+                "--tree", tree_file, "--samples", "100", "--coupled",
+                "--threads", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_duplicate_subset_links_rejected(rates_file, capsys):
+    assert run(["dist", "--rates", rates_file, "--time", "2",
+                "--subset", "2,2"]) == 2
+    assert run(["simulate", "--rates", rates_file, "--time", "2",
+                "--subset", "3,1,3", "--samples", "100"]) == 2
+    assert run(["trees", "--links", "5", "--subset", "4,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(line.startswith("error:") for line in captured.err.splitlines())

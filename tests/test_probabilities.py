@@ -248,3 +248,92 @@ def test_sum_to_one_rates_allowed():
     assert dist_discrete([], r, 0) == 1
     assert dist_discrete([], r, 3) == 0
     assert dist_discrete_all(r, 2).total() == 1
+
+
+# -- the interval recursion (default) against the paper's tree formula -------
+
+
+def _subsets(n):
+    for gm in range(1 << n):
+        yield [a + 1 for a in range(n) if gm >> a & 1]
+
+
+def test_recursion_equals_tree_formula_exactly(rng):
+    for n in range(1, 7):
+        r = random_rates(n, rng, total=1 if n % 2 else Fraction(1, 2), exact=True)
+        for t in (0, 1, 2, 5):
+            for G in _subsets(n):
+                assert dist_discrete(G, r, t) == dist_discrete(G, r, t, method="direct")
+
+
+def test_tree_recursion_equals_tree_formula_exactly(rng):
+    for n in range(1, 6):
+        r = random_rates(n, rng, total=1, exact=True)
+        for G in _subsets(n):
+            for tr in enumerate_fragmentation_trees(G, n):
+                for t in (0, 1, 2, 5):
+                    assert tree_prob_discrete(tr, r, t) == \
+                        tree_prob_discrete(tr, r, t, method="direct")
+
+
+def test_tree_formula_vs_matrix_exact(rng):
+    for n in (1, 2, 3, 4):
+        r = random_rates(n, rng, total=1, exact=True)
+        for t in (0, 1, 3, 6):
+            table = transition_matrix_dist(r, t)
+            for G, q in table.items():
+                assert dist_discrete(list(G), r, t, method="direct") == q
+
+
+def test_recursion_relative_error_at_small_rates():
+    # the tree formula's alternating sums lose every digit here
+    rf = RateSpec("discrete", {a: 1e-6 * (a + 1) / 3 for a in range(1, 6)})
+    rx = RateSpec("discrete", {a: Fraction(rf.rho(a)) for a in range(1, 6)})
+    for G in _subsets(5):
+        p = dist_discrete(G, rf, 4)
+        q = dist_discrete(G, rx, 4)
+        if q == 0:
+            assert p == 0.0
+        else:
+            assert abs(Fraction(p) - q) <= Fraction(1, 10**12) * q
+
+
+def test_recursion_table_vs_matrix_n12(rng):
+    r = random_rates(12, rng, total=1.0)
+    for t in (3, 8):
+        table = dist_discrete_all(r, t)
+        oracle = transition_matrix_dist(r, t)
+        assert set(table.entries) == set(oracle.entries)
+        for G, q in oracle.items():
+            if q > 0.0:
+                assert abs(table[G] - q) <= 1e-12 * q
+            else:
+                # rates summing to 1 leave 1 - rho(1..n) as a rounding
+                # residue, which the oracle may carry as a tiny negative
+                assert table[G] == 0.0 and abs(q) < 1e-30
+
+
+def test_unknown_method_rejected(rates5):
+    with pytest.raises(ValueError):
+        dist_discrete([2], rates5, 3, method="nope")
+    with pytest.raises(ValueError):
+        tree_prob_discrete(FragTree(5, 2), rates5, 3, method="nope")
+
+
+def _one_minus_exp(x, terms=8):
+    """1 - e^(-x) for a small exact rational x, by its Taylor series."""
+    s, term = Fraction(0), Fraction(1)
+    for k in range(1, terms):
+        term = term * -x / k
+        s -= term
+    return s
+
+
+def test_continuous_small_rate_relative_error():
+    rho1, rho2, t = 1e-9, 2e-9, 1e-3
+    r = RateSpec("continuous", {1: rho1, 2: rho2})
+    x1 = Fraction(rho1) * Fraction(t)
+    x2 = Fraction(rho2) * Fraction(t)
+    want = _one_minus_exp(x1) * (1 - _one_minus_exp(x2))
+    for p in (dist_continuous([1], r, t), tree_prob_continuous(FragTree(2, 1), r, t)):
+        assert abs(Fraction(p) - want) <= Fraction(1, 10**14) * want

@@ -293,3 +293,122 @@ def test_coupled_respects_tree_order(rates5):
         t2, t4 = traj.removal_time[2], traj.removal_time[4]
         if t4 != math.inf:
             assert t2 < t4
+
+
+# -- pinned streams -----------------------------------------------------------
+# Literal outputs of the samplers at fixed (seed, index). They fix the v1
+# stream contract: Random((seed << 64) + index), raw random() uniforms drawn
+# in a fixed order and compared against fixed float values. Any change that
+# alters one draw or one comparison changes one of these.
+
+INF = math.inf
+HIGH = RateSpec("discrete", {1: 0.15, 2: 0.2, 3: 0.25, 4: 0.2, 5: 0.2})
+RATES4 = RateSpec("discrete", {1: 0.2, 2: 0.3, 3: 0.1, 4: 0.25})
+CRATES3 = RateSpec("continuous", {1: 0.7, 2: 1.3, 3: 0.4})
+_LETTER = {EMPTY: "E", FIRE: "F", CUT: "C", DEP: "D", IND: "I"}
+
+PINNED_DISCRETE = {  # rates5, t_max=8: removal times of links 1..5
+    (20260814, 0): (4, 3, 1, 8, 3),
+    (20260814, 7): (INF, INF, 3, 4, INF),
+    (1729, 123): (4, INF, 1, 5, 2),
+}
+PINNED_CONTINUOUS = {  # crates4, t_max=1.3: removal times of links 1..4
+    (20260814, 0): (0.5973608728289935, 0.23904022362622718,
+                    0.9483391175163455, 0.1296575286424403),
+    (20260814, 3): (INF, 0.6761189393532545, 1.1913768765454613,
+                    1.1121911766332337),
+    (1729, 99): (0.03777762973155365, 0.1994682983982238, INF, INF),
+}
+#: sample_aux on ref_aux_tree, indices 0..11, one letter per slot in
+#: slot_order: Empty, Fire, Cut, Dep, Ind
+PINNED_AUX_RATES5 = ("EEEEE EEFII EEEEE EEEEC EEEEE FEFII "
+                     "EEEEE EEEEE EEEEE EEEEC EEECI EEFII")
+PINNED_AUX_HIGH = ("FEEEI EEFII EEEEC EEEED EEEEC FEFII "
+                   "EEEEC EEEEC EEEEC EEEED FEECI EEFII")
+PINNED_COUPLED = {  # ref_aux_tree, rates5, t_max=6: (times of 1..5, failure)
+    0: ((INF, INF, INF, INF, INF), 2),
+    1: ((INF, INF, INF, INF, INF), 1),
+    2: ((INF, INF, 5, INF, INF), None),
+    3: ((INF, INF, 1, INF, INF), 3),
+    4: ((INF, INF, 2, INF, INF), 3),
+    5: ((INF, INF, INF, INF, INF), 1),
+    9: ((INF, INF, 1, 2, INF), 5),
+    53: ((INF, INF, 2, 5, INF), None),
+    130: ((INF, INF, 2, 6, INF), None),
+    192: ((INF, INF, 1, 4, INF), None),
+}
+#: batch_tree_counts(RATES4, 2, 1000) and (CRATES3, 0.8, 1000)
+PINNED_COUNTS_DISCRETE = {
+    (4, ()): 18,
+    (4, ((1, None),)): 113,
+    (4, ((2, None),)): 216,
+    (4, ((3, None),)): 51,
+    (4, ((4, None),)): 133,
+    (4, ((1, 2), (2, None))): 25,
+    (4, ((1, 3), (3, None))): 11,
+    (4, ((1, 4), (4, None))): 48,
+    (4, ((1, None), (2, 1))): 61,
+    (4, ((1, None), (3, 1))): 16,
+    (4, ((1, None), (4, 1))): 43,
+    (4, ((2, 3), (3, None))): 18,
+    (4, ((2, 4), (4, None))): 75,
+    (4, ((2, None), (3, 2))): 24,
+    (4, ((2, None), (4, 2))): 62,
+    (4, ((3, 4), (4, None))): 23,
+    (4, ((3, None), (4, 3))): 19,
+    (4, ((1, 2), (2, None), (3, 2))): 8,
+    (4, ((1, 2), (2, None), (4, 2))): 19,
+    (4, ((1, 3), (3, None), (4, 3))): 5,
+    (4, ((2, 3), (3, None), (4, 3))): 12,
+}
+PINNED_COUNTS_CONTINUOUS = {
+    (3, ()): 144,
+    (3, ((1, None),)): 134,
+    (3, ((2, None),)): 247,
+    (3, ((3, None),)): 62,
+    (3, ((1, 2), (2, None))): 105,
+    (3, ((1, 3), (3, None))): 16,
+    (3, ((1, None), (2, 1))): 81,
+    (3, ((1, None), (3, 1))): 20,
+    (3, ((2, 3), (3, None))): 48,
+    (3, ((2, None), (3, 2))): 65,
+    (3, ((1, 2), (2, 3), (3, None))): 14,
+    (3, ((1, 2), (2, None), (3, 2))): 26,
+    (3, ((1, 3), (2, 1), (3, None))): 13,
+    (3, ((1, None), (2, 1), (3, 2))): 15,
+    (3, ((1, None), (2, 3), (3, 1))): 10,
+}
+#: hits of the three estimators, 3000 trajectories each
+PINNED_HITS = [44, 80, 34, 261, 106, 60]
+
+
+def test_streams_pinned(rates5, crates4, ref_aux_tree):
+    for (seed, i), want in PINNED_DISCRETE.items():
+        traj = simulate_discrete(rates5, 8, seed=seed, index=i)
+        assert traj.removal_time == dict(zip(range(1, 6), want))
+    for (seed, i), want in PINNED_CONTINUOUS.items():
+        traj = simulate_continuous(crates4, 1.3, seed=seed, index=i)
+        assert traj.removal_time == dict(zip(range(1, 5), want))
+    # the tree has an empty external slot (left of 4) and a root slot whose
+    # both-sides break is reachable
+    keys = slot_order(ref_aux_tree)
+    for rates, want in ((rates5, PINNED_AUX_RATES5), (HIGH, PINNED_AUX_HIGH)):
+        got = " ".join(
+            "".join(_LETTER[x[k]] for k in keys) for x in
+            (sample_aux(ref_aux_tree, rates, seed=SEED, index=i) for i in range(12)))
+        assert got == want
+    for i, (times, failure) in PINNED_COUPLED.items():
+        traj, f = coupled_construction(ref_aux_tree, rates5, 6, seed=SEED, index=i)
+        assert (traj.removal_time, f) == (dict(zip(range(1, 6), times)), failure)
+    assert batch_tree_counts(RATES4, 2, 1000, seed=SEED) == PINNED_COUNTS_DISCRETE
+    assert batch_tree_counts(CRATES3, 0.8, 1000, seed=SEED) == PINNED_COUNTS_CONTINUOUS
+    n = 3000
+    estimates = [
+        estimate_tree_prob(FragTree(5, 3, {3: 1}, {3: 4}), rates5, 5, n, seed=SEED),
+        estimate_tree_prob(FragTree(4, 2, {}, {2: 3}), crates4, 1.0, n, seed=SEED),
+        estimate_state_prob([2, 4], rates5, 4, n, seed=SEED),
+        estimate_state_prob([1], crates4, 0.5, n, seed=SEED),
+        estimate_tree_prob_coupled(ref_aux_tree, rates5, 4, n, seed=SEED),
+        estimate_tree_prob_coupled(ref_aux_tree, HIGH, 4, n, seed=SEED),
+    ]
+    assert [est for est, _ in estimates] == [h / n for h in PINNED_HITS]

@@ -140,8 +140,14 @@ def lam_interval(rates, removed, lo, hi):
     acc = rates.one
     for frag in chain_fragments(lo, hi, removed):
         if not frag.empty:
-            acc = acc * (1 - rates.rho_sum(frag))
+            acc = acc * _stay(rates, frag)
     return acc
+
+
+def _stay(rates, frag):
+    """1 - rho(frag), clamped at 0: float rates summing to 1 leave a
+    rounding residue that may be negative."""
+    return max(1 - rates.rho_sum(frag), 0)
 
 
 def lambda_value(rates, G, interval=None):
@@ -308,7 +314,7 @@ class _IntervalLaws:
         self.memo = {}
 
     def lam(self, lo, hi):
-        return self.rates.one - self.rates.rho_sum(range(lo, hi + 1))
+        return max(self.rates.one - self.rates.rho_sum(range(lo, hi + 1)), self.zero)
 
     def law(self, lo, hi, mask):
         key = (lo, hi, mask)
@@ -560,7 +566,7 @@ def transition_rows(rates):
         for frag in chain_fragments(1, n, _mask_links_n(state)):
             if frag.empty:
                 continue
-            choices = [(0, 1 - rates.rho_sum(frag))]
+            choices = [(0, _stay(rates, frag))]
             choices += [(1 << (a - 1), rates.rho(a)) for a in frag]
             acc = [(m | bm, p * bp) for m, p in acc for bm, bp in choices]
         rows[state] = {state | m: p for m, p in acc}

@@ -8,15 +8,24 @@ scan over a fragment's links, inverse-CDF exponentials) are written out
 here, so identical seeds give bit-identical trajectories on any platform.
 Draws for empty fragments and empty external slots are skipped: they would
 hit probability-0 branches, so skipping preserves the law.
+
+The samplers run on plain lists and floats, from tables kept in small
+bounded caches: running sums of rho per rates object, the slot program per
+(tree, rates). The estimators convert the rates to floats once per
+estimate, and classify straight from removal times to an interned tree key.
+No draw or comparison changes: tests/test_simulate.py pins the streams.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .fragments import FragTree, chain_fragments
+from .fragments import FragTree
 
 #: documented default seed for every CLI entry point and helper
 DEFAULT_SEED = 1729
@@ -47,38 +56,52 @@ class Trajectory:
         return frozenset(a for a, tau in self.removal_time.items() if tau <= t)
 
 
+def _removed(traj, t):
+    """Sorted removed_at(t) of a trajectory whose links are in order."""
+    if t > traj.horizon:
+        raise ValueError("time beyond the simulated horizon")
+    return [a for a, tau in traj.removal_time.items() if tau <= t]
+
+
+@functools.lru_cache(maxsize=8)
+def _prefix_sums(rates):
+    """cums[lo][k] = rho(lo) + ... + rho(lo + k) in floats, summed in
+    ascending order as the scan over a fragment lo..hi does."""
+    rho = [float(rates.rho(a)) for a in range(1, rates.n + 1)]
+    return (None,) + tuple(tuple(itertools.accumulate(rho[lo:]))
+                           for lo in range(rates.n))
+
+
 def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
     """One trajectory of the discrete chain up to step t_max.
 
     Per step, each nonempty fragment draws one uniform and maps it through
     the cumulative rates of its links in ascending order: u < cum(alpha)
-    breaks alpha, otherwise the fragment survives the step.
+    breaks alpha, otherwise the fragment survives the step. The first such
+    alpha is the one bisect_right finds.
     """
     if rates.mode != "discrete":
         raise ValueError("simulate_discrete needs discrete rates")
-    rng = substream(seed, index)
+    rand = substream(seed, index).random
     n = rates.n
-    rho = {a: float(rates.rho(a)) for a in range(1, n + 1)}
-    times = {a: INF for a in range(1, n + 1)}
+    cums = _prefix_sums(rates)
+    times = dict.fromkeys(range(1, n + 1), INF)
     removed = []
     for step in range(1, int(t_max) + 1):
         if len(removed) == n:
             break
         hits = []
-        for frag in chain_fragments(1, n, removed):
-            if frag.empty:
-                continue
-            u = rng.random()
-            cum = 0.0
-            for a in frag:
-                cum += rho[a]
-                if u < cum:
-                    hits.append(a)
-                    break
-        for a in hits:
-            times[a] = step
+        lo = 1
+        for r in removed + [n + 1]:  # the fragment lo..r-1
+            if r > lo:
+                k = bisect_right(cums[lo], rand(), 0, r - lo)
+                if k < r - lo:
+                    hits.append(lo + k)
+            lo = r + 1
         if hits:
-            removed = sorted(set(removed) | set(hits))
+            for a in hits:
+                times[a] = step
+            removed = sorted(removed + hits)
     return Trajectory("discrete", n, int(t_max), times)
 
 
@@ -110,34 +133,44 @@ def matches_tree(traj, tree, t):
     return True
 
 
-def classify_tree(traj, t):
-    """The unique fragmentation tree the trajectory matches at time t.
-
-    Recursive argmin of removal times: the earliest-broken link of an
-    interval is the local root; ties inside an interval would make the
-    match ambiguous and raise (they cannot occur in either chain: a
-    fragment breaks at most one link per step)."""
-    state = sorted(traj.removed_at(t))
-    tau = traj.removal_time
-    left, right = {}, {}
-
-    def build(members):
-        if not members:
-            return None
-        best = min(members, key=lambda a: tau[a])
-        if sum(1 for a in members if tau[a] == tau[best]) > 1:
+def _tree_parents(tau, state):
+    """Parents (None for the root) of the sorted state's links in the tree
+    the removal times tau match, whose root is the earliest-broken link of
+    each interval: the Cartesian tree of the times, built in one stack pass.
+    Ties inside an interval are ambiguous and raise; neither chain makes
+    them, since a fragment breaks at most one link per step."""
+    parents = [None] * len(state)
+    stack = []  # positions on the right spine, earliest-broken at the bottom
+    for k, a in enumerate(state):
+        last = None
+        while stack and tau[state[stack[-1]]] > tau[a]:
+            last = stack.pop()
+        if stack and tau[state[stack[-1]]] == tau[a]:
             raise ValueError("tied removal times inside one fragment")
-        i = members.index(best)
-        lr = build(members[:i])
-        rr = build(members[i + 1:])
-        if lr is not None:
-            left[best] = lr
-        if rr is not None:
-            right[best] = rr
-        return best
+        if last is not None:
+            parents[last] = a
+        if stack:
+            parents[k] = state[stack[-1]]
+        stack.append(k)
+    return parents
 
-    root = build(state)
+
+def classify_tree(traj, t):
+    """The unique fragmentation tree the trajectory matches at time t."""
+    state = sorted(traj.removed_at(t))
+    root, left, right = None, {}, {}
+    for a, p in zip(state, _tree_parents(traj.removal_time, state)):
+        if p is None:
+            root = a
+        elif a < p:
+            left[p] = a
+        else:
+            right[p] = a
     return FragTree(traj.n, root, left, right)
+
+
+#: interns tree keys, so count dicts from repeated batches share them
+_interned = functools.lru_cache(maxsize=4096)(lambda key: key)
 
 
 def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED, threads=1):
@@ -146,17 +179,23 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED, threads=1):
     Returns (estimate, stderr) with the binomial standard error
     sqrt(p(1-p)/N). Trajectory index i always uses substream (seed, i), so
     results are identical for any thread count; threads only split the index
-    range."""
+    range. A trajectory matches when its state is the tree's vertex set and
+    no vertex broke after one of its children, which is matches_tree.
+    """
     _check_sampling(samples, threads)
     sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
     ratesf = rates.as_float()
+    target = list(tree.G)
+    edges = [(tree.parent[c], c) for c in tree.edges]
 
     def count(lo, hi):
-        c = 0
+        hits = 0
         for i in range(lo, hi):
-            if matches_tree(sim(ratesf, t, seed, i), tree, t):
-                c += 1
-        return c
+            traj = sim(ratesf, t, seed, i)
+            tau = traj.removal_time
+            if _removed(traj, t) == target and all(tau[p] <= tau[c] for p, c in edges):
+                hits += 1
+        return hits
 
     hits = _run_chunks(count, samples, threads)
     p = hits / samples
@@ -166,16 +205,13 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED, threads=1):
 def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED, threads=1):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
     _check_sampling(samples, threads)
-    target = frozenset(G)
+    target = sorted(set(G))
     sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
     ratesf = rates.as_float()
 
     def count(lo, hi):
-        c = 0
-        for i in range(lo, hi):
-            if sim(ratesf, t, seed, i).removed_at(t) == target:
-                c += 1
-        return c
+        return sum(1 for i in range(lo, hi)
+                   if _removed(sim(ratesf, t, seed, i), t) == target)
 
     hits = _run_chunks(count, samples, threads)
     p = hits / samples
@@ -189,9 +225,11 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     ratesf = rates.as_float()
     counts = {}
     for i in range(samples):
-        key = classify_tree(sim(ratesf, t, seed, i), t).structure_key()
+        traj = sim(ratesf, t, seed, i)
+        state = _removed(traj, t)
+        key = (traj.n, tuple(zip(state, _tree_parents(traj.removal_time, state))))
         counts[key] = counts.get(key, 0) + 1
-    return counts
+    return {_interned(key): c for key, c in counts.items()}
 
 
 def _check_sampling(samples, threads=1):
@@ -240,31 +278,51 @@ def child_slot_keys(tree, alpha):
 
 def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
     """One joint sample of every slot variable of the tree, bottom-up."""
-    return _sample_aux(tree, rates.as_float(), substream(seed, index))
+    program = _slot_program(tree, rates)
+    return dict(zip(program[0], _draw_slots(program, substream(seed, index).random)))
 
 
-def _sample_aux(tree, rates, rng):
-    x = {}
-    for key, frag in external_slots(tree):
-        if frag.empty:
-            x[key] = EMPTY
-        else:
-            x[key] = FIRE if rng.random() < rates.rho_sum(frag) else EMPTY
+@functools.lru_cache(maxsize=16)
+def _slot_program(tree, rates):
+    """(keys, externals, internals, layout), slots numbered as in keys =
+    slot_order(tree). externals: (slot, rho(J)) per nonempty external J.
+    internals, bottom-up: (slot, child slots, lam_a, 1 - rho(I_a), that plus
+    rho(a)). layout[a], for a vertex a or None (the root's parent): (slot
+    of a, children of a, slots of the externals anchored at a)."""
+    ratesf = rates.as_float()
+    ext = external_slots(tree)
+    keys = slot_order(tree)
+    slot = {k: i for i, k in enumerate(keys)}
+    externals = [(slot[k], ratesf.rho_sum(frag)) for k, frag in ext if not frag.empty]
+    internals = []
     for (key, I, Il, Ir) in internal_slots(tree):
-        a = key[1]
-        kl, kr = child_slot_keys(tree, a)
-        if x[kl] != EMPTY or x[kr] != EMPTY:
-            x[key] = IND
+        kl, kr = child_slot_keys(tree, key[1])
+        still = 1 - ratesf.rho_sum(I)
+        lam_a = (1 - ratesf.rho_sum(Il)) * (1 - ratesf.rho_sum(Ir))
+        internals.append((slot[key], slot[kl], slot[kr], lam_a, still,
+                          still + ratesf.rho(key[1])))
+    layout = {a: (slot.get(("int", a)), [], []) for a in (None,) + tree.G}
+    for a in tree.G:
+        layout[tree.parent.get(a)][1].append(a)
+    for k, _ in ext:
+        layout[k[1]][2].append(slot[k])
+    return keys, externals, internals, layout
+
+
+def _draw_slots(program, rand):
+    """One joint slot sample as a list in slot order: the same draws, in the
+    same order and against the same floats, as the slot-by-slot law."""
+    x = [EMPTY] * len(program[0])
+    for s, fire in program[1]:
+        if rand() < fire:
+            x[s] = FIRE
+    for s, left, right, lam_a, still, cut in program[2]:
+        if x[left] != EMPTY or x[right] != EMPTY:
+            x[s] = IND
             continue
-        lam_a = (1 - rates.rho_sum(Il)) * (1 - rates.rho_sum(Ir))
-        u = rng.random() * lam_a
-        still = 1 - rates.rho_sum(I)
-        if u < still:
-            x[key] = EMPTY
-        elif u < still + rates.rho(a):
-            x[key] = CUT
-        else:
-            x[key] = DEP
+        u = rand() * lam_a
+        if u >= still:
+            x[s] = CUT if u < cut else DEP
     return x
 
 
@@ -385,23 +443,24 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     """
     if rates.mode != "discrete":
         raise ValueError("the coupled construction drives the discrete chain")
-    rng = substream(seed, index)
-    ratesf = rates.as_float()
-    ext = external_slots(tree)
+    program = _slot_program(tree, rates)
+    layout = program[3]
+    rand = substream(seed, index).random
+    _, minimal, exposed = layout[None]
+    minimal, exposed = list(minimal), list(exposed)
     removed = {}
     failure = None
     for step in range(1, int(t_max) + 1):
-        x = _sample_aux(tree, ratesf, rng)
-        exposed = [k for k, _ in ext if k[1] is None or k[1] in removed]
-        minimal = tree.minimal_remaining(removed)
-        bad = any(x[k] == FIRE for k in exposed) or \
-            any(x[("int", a)] in (DEP, IND) for a in minimal)
-        if bad:
+        x = _draw_slots(program, rand)
+        if any(x[s] == FIRE for s in exposed) or \
+                any(x[layout[a][0]] in (DEP, IND) for a in minimal):
             failure = step
             break
-        for a in minimal:
-            if x[("int", a)] == CUT:
-                removed[a] = step
+        for a in [a for a in minimal if x[layout[a][0]] == CUT]:
+            removed[a] = step
+            minimal.remove(a)
+            minimal += layout[a][1]
+            exposed += layout[a][2]
     times = {a: removed.get(a, INF) for a in range(1, tree.n + 1)}
     return Trajectory("discrete", tree.n, int(t_max), times), failure
 
@@ -411,11 +470,12 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
     _check_sampling(samples)
+    ratesf = rates.as_float()
+    target = list(tree.G)
     hits = 0
-    target = frozenset(tree.G)
     for i in range(samples):
-        traj, failure = coupled_construction(tree, rates, t, seed, i)
-        if failure is None and traj.removed_at(t) == target:
+        traj, failure = coupled_construction(tree, ratesf, t, seed, i)
+        if failure is None and _removed(traj, t) == target:
             hits += 1
     p = hits / samples
     return p, math.sqrt(p * (1 - p) / samples)

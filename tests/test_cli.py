@@ -291,3 +291,13 @@ def test_duplicate_subset_links_rejected(rates_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert all(line.startswith("error:") for line in captured.err.splitlines())
+
+
+def test_dist_table_cap(tmp_path, capsys):
+    p = tmp_path / "rates21.json"
+    p.write_text(json.dumps({"mode": "discrete",
+                             "rho": {str(a): 0.04 for a in range(1, 22)}}))
+    assert run(["dist", "--rates", str(p), "--time", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

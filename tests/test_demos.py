@@ -1,5 +1,4 @@
-"""The quick demos run to the end. simulation_and_coupling.py is left out:
-it draws about a million trajectories."""
+"""Every demo runs to the end."""
 
 import os
 import subprocess
@@ -12,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["distribution_formulas.py",
-                                  "pruning_order_tour.py"])
+                                  "pruning_order_tour.py",
+                                  "simulation_and_coupling.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -313,6 +313,21 @@ def test_recursion_table_vs_matrix_n12(rng):
                 assert table[G] == 0.0 and abs(q) < 1e-30
 
 
+
+def test_matrix_oracle_nonnegative_at_total_one():
+    # 1 - rho(1..n) rounds to a tiny negative for these rates; the oracle
+    # clamps it, so no entry of the table may be negative
+    r = random_rates(12, make_rng(), total=1.0)
+    assert 1 - r.rho_sum(range(1, 13)) < 0
+    assert all(p >= 0 for _, p in transition_matrix_dist(r, 3).items())
+    assert check_transition_spectrum(r)["diagonal_exact"]
+
+
+def test_full_table_cap():
+    r = RateSpec("discrete", {a: 0.04 for a in range(1, 22)})
+    with pytest.raises(ValueError):
+        dist_discrete_all(r, 2)
+
 def test_unknown_method_rejected(rates5):
     with pytest.raises(ValueError):
         dist_discrete([2], rates5, 3, method="nope")

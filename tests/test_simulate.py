@@ -155,6 +155,26 @@ def test_batch_counts_match_per_tree_estimates(rates5):
             assert counts.get(tree.structure_key(), 0) == round(est * n_samp)
 
 
+
+def test_fast_classification_is_the_definition(rates5, crates4):
+    # the batch key and the estimator's match, trajectory by trajectory,
+    # against classify_tree and matches_tree
+    n_samp = 3000
+    for rates, t in ((rates5, 3), (crates4, 0.9)):
+        sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
+        trajs = [sim(rates, t, seed=SEED, index=i) for i in range(n_samp)]
+        want = {}
+        for traj in trajs:
+            key = classify_tree(traj, t).structure_key()
+            want[key] = want.get(key, 0) + 1
+        assert batch_tree_counts(rates, t, n_samp, seed=SEED) == want
+        for G in ((), (2,), (1, 3), (2, 3, 4)):
+            for tree in enumerate_fragmentation_trees(G, rates.n):
+                est, _ = estimate_tree_prob(tree, rates, t, n_samp, seed=SEED)
+                assert round(est * n_samp) == \
+                    sum(matches_tree(traj, tree, t) for traj in trajs)
+
+
 # -- auxiliary slot process ---------------------------------------------------
 
 

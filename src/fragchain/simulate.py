@@ -51,13 +51,12 @@ class Trajectory:
     removal_time: dict
 
     def removed_at(self, t):
-        if t > self.horizon:
-            raise ValueError("time beyond the simulated horizon")
-        return frozenset(a for a, tau in self.removal_time.items() if tau <= t)
+        return frozenset(_removed(self, t))
 
 
 def _removed(traj, t):
-    """Sorted removed_at(t) of a trajectory whose links are in order."""
+    """The links removed by time t, in the order of removal_time, which is
+    ascending for every trajectory this module makes."""
     if t > traj.horizon:
         raise ValueError("time beyond the simulated horizon")
     return [a for a, tau in traj.removal_time.items() if tau <= t]

@@ -144,10 +144,10 @@ def lam_interval(rates, removed, lo, hi):
     return acc
 
 
-def _stay(rates, frag):
-    """1 - rho(frag), clamped at 0: float rates summing to 1 leave a
-    rounding residue that may be negative."""
-    return max(1 - rates.rho_sum(frag), 0)
+def _stay(rates, links):
+    """1 - rho(links), clamped at 0: float rates summing to 1 can leave a
+    negative rounding residue."""
+    return max(rates.one - rates.rho_sum(links), rates.one * 0)
 
 
 def lambda_value(rates, G, interval=None):
@@ -314,7 +314,7 @@ class _IntervalLaws:
         self.memo = {}
 
     def lam(self, lo, hi):
-        return max(self.rates.one - self.rates.rho_sum(range(lo, hi + 1)), self.zero)
+        return _stay(self.rates, range(lo, hi + 1))
 
     def law(self, lo, hi, mask):
         key = (lo, hi, mask)

@@ -157,14 +157,10 @@ def _tree_parents(tau, state):
 def classify_tree(traj, t):
     """The unique fragmentation tree the trajectory matches at time t."""
     state = sorted(traj.removed_at(t))
-    root, left, right = None, {}, {}
-    for a, p in zip(state, _tree_parents(traj.removal_time, state)):
-        if p is None:
-            root = a
-        elif a < p:
-            left[p] = a
-        else:
-            right[p] = a
+    pairs = list(zip(state, _tree_parents(traj.removal_time, state)))
+    root = next((a for a, p in pairs if p is None), None)
+    left = {p: a for a, p in pairs if p is not None and a < p}
+    right = {p: a for a, p in pairs if p is not None and a > p}
     return FragTree(traj.n, root, left, right)
 
 
@@ -290,9 +286,10 @@ def _slot_program(tree, rates):
     of a, children of a, slots of the externals anchored at a)."""
     ratesf = rates.as_float()
     ext = external_slots(tree)
-    keys = slot_order(tree)
+    keys = tuple(slot_order(tree))
     slot = {k: i for i, k in enumerate(keys)}
-    externals = [(slot[k], ratesf.rho_sum(frag)) for k, frag in ext if not frag.empty]
+    externals = tuple((slot[k], ratesf.rho_sum(frag))
+                      for k, frag in ext if not frag.empty)
     internals = []
     for (key, I, Il, Ir) in internal_slots(tree):
         kl, kr = child_slot_keys(tree, key[1])
@@ -300,12 +297,11 @@ def _slot_program(tree, rates):
         lam_a = (1 - ratesf.rho_sum(Il)) * (1 - ratesf.rho_sum(Ir))
         internals.append((slot[key], slot[kl], slot[kr], lam_a, still,
                           still + ratesf.rho(key[1])))
-    layout = {a: (slot.get(("int", a)), [], []) for a in (None,) + tree.G}
-    for a in tree.G:
-        layout[tree.parent.get(a)][1].append(a)
-    for k, _ in ext:
-        layout[k[1]][2].append(slot[k])
-    return keys, externals, internals, layout
+    layout = {a: (slot.get(("int", a)),
+                  tuple(c for c in tree.G if tree.parent.get(c) == a),
+                  tuple(slot[k] for k, _ in ext if k[1] == a))
+              for a in (None,) + tree.G}
+    return keys, externals, tuple(internals), layout
 
 
 def _draw_slots(program, rand):
@@ -402,10 +398,10 @@ def support_atoms(tree, rates):
 def aux_consistent(tree, x):
     """The consistency law: whenever an internal slot is anything but IND,
     every slot strictly inside its interval reads EMPTY."""
-    for (key, _I, _Il, _Ir) in internal_slots(tree):
-        if x[key] == IND:
+    for a in tree.postorder:
+        if x[("int", a)] == IND:
             continue
-        stack = list(child_slot_keys(tree, key[1]))
+        stack = list(child_slot_keys(tree, a))
         while stack:
             k = stack.pop()
             if x[k] != EMPTY:
@@ -445,8 +441,7 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     program = _slot_program(tree, rates)
     layout = program[3]
     rand = substream(seed, index).random
-    _, minimal, exposed = layout[None]
-    minimal, exposed = list(minimal), list(exposed)
+    minimal, exposed = list(layout[None][1]), list(layout[None][2])
     removed = {}
     failure = None
     for step in range(1, int(t_max) + 1):

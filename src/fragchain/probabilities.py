@@ -314,7 +314,8 @@ class _IntervalLaws:
         self.memo = {}
 
     def lam(self, lo, hi):
-        return _stay(self.rates, range(lo, hi + 1))
+        lam = self.rates.one - self.rates.rho_sum(range(lo, hi + 1))
+        return lam if lam > 0 else self.zero
 
     def law(self, lo, hi, mask):
         key = (lo, hi, mask)

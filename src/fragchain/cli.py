@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 verification or internal-consistency failure,
 2 usage/config error, 3 enumeration budget exceeded.
 
 Edge sets on the command line are comma-separated upper-end labels, the
-empty set being the empty string. All output is UTF-8 with LF endings.
-Randomized commands default to the documented seed constant 1729; pass
---seed for anything else. --threads only splits trajectory ranges across
-worker threads; estimates are identical for any value, but only --threads 1
-is promised bit-stable against future layout changes.
+empty set being the empty string; a label that is not a vertex of the tree
+is a usage error. poset and mobius read either kind of tree file: a
+fragmentation tree is the rooted tree of its edges, left child first, and
+must not be empty. All output is UTF-8 with LF endings. Randomized commands
+default to the documented seed constant 1729; pass --seed for anything
+else. Trajectory i of a run always uses substream (seed, i), so a seed
+fixes the estimate.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ def _load_tree_any(path):
     return serialize.rootedtree_from_dict(d)
 
 
-def _as_rooted(tree):
-    if isinstance(tree, fragments.FragTree):
-        return tree.as_rooted_tree()
+def _load_nonempty_tree(path):
+    """A tree file for the pruning order, which needs at least one vertex."""
+    tree = _load_tree_any(path)
+    if isinstance(tree, fragments.FragTree) and not tree.G:
+        raise ValueError("the empty tree has no vertices")
     return tree
 
 
@@ -161,7 +165,7 @@ def cmd_trees(args):
 
 
 def cmd_poset(args):
-    tree = _as_rooted(_load_tree_any(args.tree))
+    tree = _load_nonempty_tree(args.tree)
     if args.interval is not None:
         htext, _, ktext = args.interval.partition(":")
         members = poset.interval(tree, _parse_labels(htext), _parse_labels(ktext))
@@ -191,7 +195,7 @@ def cmd_poset(args):
 
 
 def cmd_mobius(args):
-    tree = _as_rooted(_load_tree_any(args.tree))
+    tree = _load_nonempty_tree(args.tree)
     H = _parse_labels(getattr(args, "from"))
     K = _parse_labels(args.to)
     if args.recursive:
@@ -213,8 +217,6 @@ def cmd_simulate(args):
     t = _parse_time(args.time, rates.mode)
     if (args.tree is None) == (args.subset is None):
         raise ValueError("simulate needs exactly one of --tree or --subset")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.tree is not None:
         tree = _load_tree_any(args.tree)
         if not isinstance(tree, fragments.FragTree):
@@ -224,7 +226,7 @@ def cmd_simulate(args):
                 tree, rates, t, args.samples, args.seed)
         else:
             est, se = sim.estimate_tree_prob(
-                tree, rates, t, args.samples, args.seed, args.threads)
+                tree, rates, t, args.samples, args.seed)
         exact = (pr.tree_prob_discrete(tree, rates, t)
                  if rates.mode == "discrete"
                  else pr.tree_prob_continuous(tree, rates, t))
@@ -232,7 +234,7 @@ def cmd_simulate(args):
     else:
         G = _parse_links(args.subset)
         est, se = sim.estimate_state_prob(
-            G, rates, t, args.samples, args.seed, args.threads)
+            G, rates, t, args.samples, args.seed)
         exact = (pr.dist_discrete(G, rates, t)
                  if rates.mode == "discrete"
                  else pr.dist_continuous(G, rates, t))
@@ -254,6 +256,8 @@ def _group(name, ok, detail):
 
 
 def cmd_verify(args):
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     rng = random.Random(args.seed)
     tol = args.tol
     groups = []
@@ -486,7 +490,6 @@ def build_parser():
     si.add_argument("--subset")
     si.add_argument("--coupled", action="store_true",
                     help="coupled construction instead of direct simulation")
-    si.add_argument("--threads", type=int, default=1)
     si.add_argument("--out")
     si.set_defaults(func=cmd_simulate)
 

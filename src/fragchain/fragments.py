@@ -15,6 +15,12 @@ right part I''_alpha, each passed to the child on that side or left as an
 external fragment when the side has no child. The externals, read in
 symmetric (in-)order, are exactly the fragments of G. There are Catalan(|G|)
 fragmentation trees for a given G.
+
+A nonempty FragTree is a trees.RootedTree on G, its children ordered left
+then right: the vertex bitmasks, the edge masks and the pruning order with
+its Mobius function (poset.py) all apply to it directly. Bitmasks follow the
+rooted tree's vertex order (root first, depth-first), while G and edges stay
+in ascending link order.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetError
+from .trees import RootedTree
 
 #: default cap on catalan(|G|) * 2^(|G|-1), the term count of a full
 #: distribution evaluation; admits |G| <= 10
@@ -89,21 +96,23 @@ def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
 
 
-class FragTree:
+class FragTree(RootedTree):
     """A fragmentation tree: plane binary search tree on G inside chain 1..n.
 
-    Constructed from the child maps; intervals, edge order, fragments and
-    traversals are precomputed. The empty tree (G = ()) is allowed and has a
-    single external fragment, the whole chain.
+    Constructed from the child maps; intervals and traversals are
+    precomputed. It is the rooted tree of its edges, listed in preorder with
+    the left child first, so the pruning-order and Mobius functions take it
+    as it is. The empty tree (G = ()) is allowed and has a single external
+    fragment, the whole chain; it has no vertices to build a rooted tree on.
     """
 
     def __init__(self, n, root, left=None, right=None):
         left = dict(left or {})
         right = dict(right or {})
+        self.n = n
         if root is None:
             if left or right:
                 raise ValueError("empty tree cannot have children")
-            self.n = n
             self.G = ()
             self.root = None
             self.parent = {}
@@ -112,12 +121,14 @@ class FragTree:
             self.lo = {}
             self.hi = {}
             self.postorder = ()
+            self._key = (n, ())
             self._externals = [Fragment(1, n, vertex=None, side="root")]
             return
         if not 1 <= root <= n:
             raise ValueError("root link outside the chain")
-        lo, hi, parent = {}, {}, {}
+        lo, hi = {}, {}
         order = []
+        edges = []
 
         def walk(a, alo, ahi):
             if not alo <= a <= ahi:
@@ -127,46 +138,36 @@ class FragTree:
             if lc is not None:
                 if not lc < a:
                     raise ValueError(f"left child {lc} not below {a}")
-                parent[lc] = a
+                edges.append((a, lc))
                 walk(lc, alo, a - 1)
             if rc is not None:
                 if not rc > a:
                     raise ValueError(f"right child {rc} not above {a}")
-                parent[rc] = a
+                edges.append((a, rc))
                 walk(rc, a + 1, ahi)
             order.append(a)
 
         walk(root, 1, n)
-        verts = set(order)
-        if len(order) != len(verts):
-            raise ValueError("duplicate vertex")
+        super().__init__(root, edges)
         for m in (left, right):
             for a, c in m.items():
-                if c is not None and (a not in verts or c not in verts):
+                if c is not None and (a not in lo or c not in lo):
                     raise ValueError("child map mentions unknown vertex")
-        self.n = n
-        self.G = tuple(sorted(verts))
-        self.root = root
-        self.parent = parent
-        self.left = {a: left.get(a) for a in verts}
-        self.right = {a: right.get(a) for a in verts}
+        self.G = tuple(sorted(order))
+        self.left = {a: left.get(a) for a in self.G}
+        self.right = {a: right.get(a) for a in self.G}
         self.lo = lo
         self.hi = hi
         self.postorder = tuple(order)
-        self._bit = {a: i for i, a in enumerate(self.G)}
-        desc = {a: 1 << self._bit[a] for a in self.G}
-        for a in order:  # children precede parents in postorder
-            for c in (self.left[a], self.right[a]):
-                if c is not None:
-                    desc[a] |= desc[c]
-        self._desc = desc
+        self._key = (n, tuple((a, self.parent.get(a)) for a in self.G))
         self._externals = None
 
     # -- basics ----------------------------------------------------------
 
     @property
     def edges(self):
-        """Non-root vertices; each names the edge to its parent."""
+        """Non-root vertices in ascending order; each names the edge to its
+        parent."""
         return tuple(a for a in self.G if a != self.root)
 
     def interval(self, alpha):
@@ -177,26 +178,18 @@ class FragTree:
                 Fragment(alpha + 1, hi, vertex=alpha, side="R"))
 
     def subtree_links(self, alpha):
-        """All links in the subtree of alpha (alpha included)."""
-        return self._mask_links(self._desc[alpha])
-
-    def _mask_links(self, mask):
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.G[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        """All links in the subtree of alpha (alpha included), ascending."""
+        return tuple(sorted(self.mask_vertices(self._desc[alpha])))
 
     def structure_key(self):
         """Hashable identity: (n, sorted (vertex, parent) pairs)."""
-        return (self.n, tuple((a, self.parent.get(a)) for a in self.G))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FragTree) and self.structure_key() == other.structure_key()
+        return isinstance(other, FragTree) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.structure_key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"FragTree(n={self.n}, G={self.G}, root={self.root})"
@@ -230,15 +223,6 @@ class FragTree:
 
     # -- cut-dependent structure -------------------------------------------
 
-    def edge_cut_mask(self, H):
-        """Bitmask (over sorted G positions) of an edge set given by upper ends."""
-        m = 0
-        for a in H:
-            if a == self.root or a not in self._bit:
-                raise ValueError(f"{a!r} does not name an edge")
-            m |= 1 << self._bit[a]
-        return m
-
     def component_masks(self, hmask):
         """For each vertex alpha, the mask of G_alpha(H): the vertices of
         alpha's component of the tree minus the cut edges, restricted to the
@@ -246,33 +230,11 @@ class FragTree:
         comp = {}
         for a in self.postorder:
             m = 1 << self._bit[a]
-            for c in (self.left[a], self.right[a]):
-                if c is not None and not (hmask >> self._bit[c]) & 1:
+            for c in self.children[a]:
+                if not (hmask >> self._bit[c]) & 1:
                     m |= comp[c]
             comp[a] = m
         return comp
-
-    def minimal_remaining(self, removed):
-        """Minimal vertices of G minus the set `removed` in the tree order:
-        the vertices whose parent is already removed (or absent)."""
-        return [a for a in self.G
-                if a not in removed
-                and (a == self.root or self.parent[a] in removed)]
-
-    def as_rooted_tree(self):
-        from .trees import RootedTree
-        if self.root is None:
-            raise ValueError("the empty tree has no vertices")
-        edges = []
-
-        def visit(a):
-            for c in (self.left[a], self.right[a]):
-                if c is not None:
-                    edges.append((a, c))
-                    visit(c)
-
-        visit(self.root)
-        return RootedTree(self.root, edges)
 
 
 def fragment_family(tree, alpha, H):
@@ -282,9 +244,8 @@ def fragment_family(tree, alpha, H):
     vertices of alpha's component after the cuts; their fragments inside
     I_alpha include the empty runs, position-tagged by their bounds.
     """
-    hmask = tree.edge_cut_mask(H)
-    comp = tree.component_masks(hmask)
-    removed = sorted(tree._mask_links(comp[alpha]))
+    comp = tree.component_masks(tree.edge_mask(H))
+    removed = sorted(tree.mask_vertices(comp[alpha]))
     return chain_fragments(tree.lo[alpha], tree.hi[alpha], removed)
 
 

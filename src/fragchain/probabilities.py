@@ -282,7 +282,7 @@ def tree_prob_continuous(tree, rates, t):
 
     def msum(mask):
         if mask not in msum_cache:
-            msum_cache[mask] = math.fsum(rho_f[a] for a in tree._mask_links(mask))
+            msum_cache[mask] = math.fsum(rho_f[a] for a in tree.mask_vertices(mask))
         return msum_cache[mask]
 
     total_f = float(total)
@@ -412,13 +412,13 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
         stump = comp[tree.root]
         if stump not in lam_pow:
             lam_pow[stump] = lam_interval(
-                rates, sorted(tree._mask_links(stump)), 1, n) ** t
+                rates, sorted(tree.mask_vertices(stump)), 1, n) ** t
         factor = rates.one
         for a in tree.G:
             key = (a, comp[a])
             if key not in denom:
                 denom[key] = lambda_diff(
-                    rates, sorted(tree._mask_links(comp[a])),
+                    rates, sorted(tree.mask_vertices(comp[a])),
                     tree.lo[a], tree.hi[a], method)
             factor = factor * rates.rho(a) / denom[key]
         term = (lam_pow[stump] - pow0) * factor
@@ -501,7 +501,7 @@ def _state_keys(n):
     """The 2^n states as sorted link tuples, indexed by bitmask (bit a-1 =
     link a). Kept for the last n asked, so tables of one chain share their
     keys instead of each holding 2^n fresh tuples."""
-    return tuple(tuple(_mask_links_n(m)) for m in range(1 << n))
+    return tuple(tuple(_state_links(m)) for m in range(1 << n))
 
 
 def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
@@ -535,7 +535,7 @@ def dist_continuous_all(rates, t):
 # -- brute-force oracles -----------------------------------------------------
 
 
-def _mask_links_n(mask):
+def _state_links(mask):
     out = []
     a = 1
     while mask:
@@ -564,7 +564,7 @@ def transition_rows(rates):
     rows = {}
     for state in range(1 << n):
         acc = [(0, one)]
-        for frag in chain_fragments(1, n, _mask_links_n(state)):
+        for frag in chain_fragments(1, n, _state_links(state)):
             if frag.empty:
                 continue
             choices = [(0, _stay(rates, frag))]
@@ -647,7 +647,7 @@ def check_transition_spectrum(rates):
     diag_exact = True
     max_err = 0
     for s in rows:
-        lam = lam_interval(rates, _mask_links_n(s), 1, rates.n)
+        lam = lam_interval(rates, _state_links(s), 1, rates.n)
         d = rows[s].get(s, 0)
         if d != lam:
             diag_exact = False

@@ -34,19 +34,9 @@ def _load_json(source):
 
 
 def fragtree_to_dict(tree):
-    edges = []
-
-    def visit(a):
-        for c in (tree.left[a], tree.right[a]):
-            if c is not None:
-                edges.append([a, c])
-                visit(c)
-
-    if tree.root is not None:
-        visit(tree.root)
-    return {"links": [1, tree.n],
-            "root": tree.root,
-            "edges": edges}
+    rooted = (rootedtree_to_dict(tree) if tree.root is not None
+              else {"root": None, "edges": []})
+    return {"links": [1, tree.n], **rooted}
 
 
 def fragtree_from_dict(source):

@@ -168,47 +168,37 @@ def classify_tree(traj, t):
 _interned = functools.lru_cache(maxsize=4096)(lambda key: key)
 
 
-def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED, threads=1):
+def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of the tree-matching probability.
 
     Returns (estimate, stderr) with the binomial standard error
-    sqrt(p(1-p)/N). Trajectory index i always uses substream (seed, i), so
-    results are identical for any thread count; threads only split the index
-    range. A trajectory matches when its state is the tree's vertex set and
-    no vertex broke after one of its children, which is matches_tree.
+    sqrt(p(1-p)/N). Trajectory index i uses substream (seed, i). A
+    trajectory matches when its state is the tree's vertex set and no vertex
+    broke after one of its children, which is matches_tree.
     """
-    _check_sampling(samples, threads)
+    _check_sampling(samples)
     sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
     ratesf = rates.as_float()
     target = list(tree.G)
     edges = [(tree.parent[c], c) for c in tree.edges]
-
-    def count(lo, hi):
-        hits = 0
-        for i in range(lo, hi):
-            traj = sim(ratesf, t, seed, i)
-            tau = traj.removal_time
-            if _removed(traj, t) == target and all(tau[p] <= tau[c] for p, c in edges):
-                hits += 1
-        return hits
-
-    hits = _run_chunks(count, samples, threads)
+    hits = 0
+    for i in range(samples):
+        traj = sim(ratesf, t, seed, i)
+        tau = traj.removal_time
+        if _removed(traj, t) == target and all(tau[p] <= tau[c] for p, c in edges):
+            hits += 1
     p = hits / samples
     return p, math.sqrt(p * (1 - p) / samples)
 
 
-def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED, threads=1):
+def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
-    _check_sampling(samples, threads)
+    _check_sampling(samples)
     target = sorted(set(G))
     sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
     ratesf = rates.as_float()
-
-    def count(lo, hi):
-        return sum(1 for i in range(lo, hi)
-                   if _removed(sim(ratesf, t, seed, i), t) == target)
-
-    hits = _run_chunks(count, samples, threads)
+    hits = sum(1 for i in range(samples)
+               if _removed(sim(ratesf, t, seed, i), t) == target)
     p = hits / samples
     return p, math.sqrt(p * (1 - p) / samples)
 
@@ -227,21 +217,9 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     return {_interned(key): c for key, c in counts.items()}
 
 
-def _check_sampling(samples, threads=1):
+def _check_sampling(samples):
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-
-def _run_chunks(count, samples, threads):
-    if threads <= 1:
-        return count(0, samples)
-    from concurrent.futures import ThreadPoolExecutor
-    bounds = [samples * k // threads for k in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [ex.submit(count, bounds[k], bounds[k + 1]) for k in range(threads)]
-        return sum(f.result() for f in futs)
 
 
 # -- auxiliary slot process --------------------------------------------------

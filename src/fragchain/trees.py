@@ -95,7 +95,10 @@ class RootedTree:
             return vs
         m = 0
         for v in vs:
-            m |= 1 << self._bit[v]
+            try:
+                m |= 1 << self._bit[v]
+            except KeyError:
+                raise ValueError(f"unknown vertex {v!r}") from None
         return m
 
     def edge_mask(self, es):

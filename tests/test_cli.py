@@ -205,16 +205,6 @@ def test_simulate_tree_and_coupled(rates_file, tree_file, capsys):
     assert rep["exact"] == repc["exact"]
 
 
-def test_simulate_thread_invariance(rates_file, capsys):
-    argv = ["simulate", "--rates", rates_file, "--time", "2",
-            "--subset", "3", "--samples", "2000"]
-    assert run(argv + ["--threads", "1"]) == 0
-    one = capsys.readouterr().out
-    assert run(argv + ["--threads", "4"]) == 0
-    four = capsys.readouterr().out
-    assert one == four
-
-
 def test_simulate_needs_one_target(rates_file, tree_file):
     assert run(["simulate", "--rates", rates_file, "--time", "2"]) == 2
     assert run(["simulate", "--rates", rates_file, "--time", "2",
@@ -273,15 +263,6 @@ def test_simulate_rejects_negative_samples(rates_file, tree_file, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_simulate_rejects_zero_threads(rates_file, tree_file, capsys):
-    assert run(["simulate", "--rates", rates_file, "--time", "2",
-                "--subset", "2", "--samples", "100", "--threads", "0"]) == 2
-    assert run(["simulate", "--rates", rates_file, "--time", "2",
-                "--tree", tree_file, "--samples", "100", "--coupled",
-                "--threads", "-1"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
 def test_duplicate_subset_links_rejected(rates_file, capsys):
     assert run(["dist", "--rates", rates_file, "--time", "2",
                 "--subset", "2,2"]) == 2
@@ -298,6 +279,70 @@ def test_dist_table_cap(tmp_path, capsys):
     p.write_text(json.dumps({"mode": "discrete",
                              "rho": {str(a): 0.04 for a in range(1, 22)}}))
     assert run(["dist", "--rates", str(p), "--time", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def frag_and_rooted_files(tmp_path):
+    """A fragmentation tree on 9 links and the same tree as a bare rooted
+    tree, its edges in preorder with the left child first."""
+    frag = tmp_path / "frag.json"
+    frag.write_text(json.dumps({
+        "links": [1, 9], "root": 4,
+        "edges": [[4, 2], [2, 1], [2, 3], [4, 6], [6, 5], [6, 8], [8, 7]]}))
+    rooted = tmp_path / "frag_rooted.json"
+    rooted.write_text(json.dumps({
+        "root": 4,
+        "edges": [[4, 2], [2, 1], [2, 3], [4, 6], [6, 5], [6, 8], [8, 7]]}))
+    return str(frag), str(rooted)
+
+
+def test_poset_and_mobius_on_fragtree_file(frag_and_rooted_files, capsys):
+    frag, rooted = frag_and_rooted_files
+    commands = [
+        ["poset"],
+        ["poset", "--dot"],
+        ["poset", "--dot", "--highlight", "3,8"],
+        ["poset", "--interval", "3,7:"],
+        ["poset", "--factorize", "6,1,3"],
+        ["mobius", "--from", "3,7", "--to", ""],
+        ["mobius", "--from", "1,3,8", "--to", "3"],
+        ["mobius", "--from", "2,6", "--to", ""],
+        ["mobius", "--from", "1,3,5,7", "--to", "", "--recursive"],
+        ["mobius", "--from", "2", "--to", "6"],
+    ]
+    for cmd in commands:
+        assert run(cmd[:1] + ["--tree", frag] + cmd[1:]) == 0
+        on_frag = capsys.readouterr().out
+        assert run(cmd[:1] + ["--tree", rooted] + cmd[1:]) == 0
+        assert capsys.readouterr().out == on_frag, cmd
+        assert on_frag
+
+
+def test_poset_and_mobius_reject_empty_fragtree(tmp_path, capsys):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"links": [1, 4], "root": None, "edges": []}))
+    for argv in (["poset", "--tree", str(p)],
+                 ["mobius", "--tree", str(p), "--from", "", "--to", ""]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_mobius_unknown_vertex(rooted_file, frag_and_rooted_files, capsys):
+    for path in (rooted_file, frag_and_rooted_files[0]):
+        assert run(["mobius", "--tree", path, "--from", "9", "--to", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown vertex 9\n"
+
+
+def test_verify_rejects_negative_samples(capsys):
+    assert run(["verify", "--n", "3", "--t-grid", "0,1", "--shape-edges", "2",
+                "--inversion-trials", "3", "--samples", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragchain import (BudgetError, FragTree, Fragment, catalan,
+from fragchain import (BudgetError, FragTree, Fragment, RootedTree, catalan,
                        chain_fragments, enumerate_fragmentation_trees,
-                       fragment_family, fragments_of)
+                       fragment_family, fragments_of, minimal_vertices)
 
 from oracles import bf_fragments
 
@@ -95,7 +95,7 @@ def test_fragtree_empty():
     t = FragTree(4, None)
     assert t.G == () and t.root is None
     assert [(f.lo, f.hi) for f in t.externals()] == [(1, 4)]
-    assert t.minimal_remaining({}) == []
+    assert minimal_vertices(t, t.G) == frozenset()
 
 
 def test_enumeration_counts_catalan():
@@ -175,14 +175,17 @@ def test_subtree_links(ref_frag_tree):
 
 
 def test_minimal_remaining(ref_frag_tree):
-    assert ref_frag_tree.minimal_remaining({}) == [3]
-    assert ref_frag_tree.minimal_remaining({3: 1}) == [1, 4]
-    assert ref_frag_tree.minimal_remaining({3: 1, 1: 2}) == [4]
-    assert ref_frag_tree.minimal_remaining({3: 1, 1: 2, 4: 2}) == []
+    # minimal vertices of G minus the removed links, in the tree order
+    t = ref_frag_tree
+    assert minimal_vertices(t, set(t.G)) == {3}
+    assert minimal_vertices(t, set(t.G) - {3}) == {1, 4}
+    assert minimal_vertices(t, set(t.G) - {3, 1}) == {4}
+    assert minimal_vertices(t, set(t.G) - {3, 1, 4}) == frozenset()
 
 
 def test_as_rooted_tree(ref_frag_tree):
-    rt = ref_frag_tree.as_rooted_tree()
+    rt = ref_frag_tree
+    assert isinstance(rt, RootedTree)
     assert rt.root == 3
     assert set(rt.vertices) == {1, 3, 4}
     assert rt.children[3] == (1, 4)

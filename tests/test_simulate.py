@@ -134,16 +134,6 @@ def test_estimate_state_prob_agrees(rates5, crates4):
     assert abs(est - dist_continuous([1], crates4, 0.5)) < 4 * se
 
 
-def test_thread_count_invariance(rates5):
-    tree = FragTree(5, 2, {}, {2: 4})
-    one = estimate_tree_prob(tree, rates5, 3, 4000, seed=SEED, threads=1)
-    four = estimate_tree_prob(tree, rates5, 3, 4000, seed=SEED, threads=4)
-    assert one == four
-    sone = estimate_state_prob([2], rates5, 3, 4000, seed=SEED, threads=1)
-    sfour = estimate_state_prob([2], rates5, 3, 4000, seed=SEED, threads=3)
-    assert sone == sfour
-
-
 def test_batch_counts_match_per_tree_estimates(rates5):
     t, n_samp = 3, 8000
     counts = batch_tree_counts(rates5, t, n_samp, seed=SEED)

@@ -57,14 +57,6 @@ def _load_tree_any(path):
     return serialize.rootedtree_from_dict(d)
 
 
-def _load_nonempty_tree(path):
-    """A tree file for the pruning order, which needs at least one vertex."""
-    tree = _load_tree_any(path)
-    if isinstance(tree, fragments.FragTree) and not tree.G:
-        raise ValueError("the empty tree has no vertices")
-    return tree
-
-
 def _parse_time(text, mode):
     if mode == "discrete":
         f = float(text)
@@ -165,7 +157,7 @@ def cmd_trees(args):
 
 
 def cmd_poset(args):
-    tree = _load_nonempty_tree(args.tree)
+    tree = _load_tree_any(args.tree)
     if args.interval is not None:
         htext, _, ktext = args.interval.partition(":")
         members = poset.interval(tree, _parse_labels(htext), _parse_labels(ktext))
@@ -195,7 +187,7 @@ def cmd_poset(args):
 
 
 def cmd_mobius(args):
-    tree = _load_nonempty_tree(args.tree)
+    tree = _load_tree_any(args.tree)
     H = _parse_labels(getattr(args, "from"))
     K = _parse_labels(args.to)
     if args.recursive:

@@ -35,6 +35,13 @@ def _submasks(m):
         sub = (sub - m) & m
 
 
+def _edge_masks(tree, *edge_sets):
+    # the empty fragmentation tree has no vertices, so no pruning order
+    if not hasattr(tree, "vertices"):
+        raise ValueError("the empty tree has no vertices")
+    return [tree.edge_mask(es) for es in edge_sets]
+
+
 def _stump_edges(tree, kmask):
     # edges of the stump tree of K: edges whose upper end survives the cut
     return _t.stump_mask(tree, kmask) & tree.edge_mask_all
@@ -48,7 +55,7 @@ def _leq_masks(tree, hmask, kmask):
 def leq_p(tree, H, K):
     """True when H <= K in the pruning order: K is contained in H and every
     extra edge of H lies in the stump tree of K."""
-    return _leq_masks(tree, tree.edge_mask(H), tree.edge_mask(K))
+    return _leq_masks(tree, *_edge_masks(tree, H, K))
 
 
 def _interval_masks(tree, hmask, kmask):
@@ -61,7 +68,7 @@ def _interval_masks(tree, hmask, kmask):
 
 def interval(tree, H, K):
     """All I with H <= I <= K, sorted by size then mask. Rejects H !<= K."""
-    hmask, kmask = tree.edge_mask(H), tree.edge_mask(K)
+    hmask, kmask = _edge_masks(tree, H, K)
     if not _leq_masks(tree, hmask, kmask):
         raise ValueError("interval endpoints are not comparable")
     ms = sorted(_interval_masks(tree, hmask, kmask),
@@ -71,7 +78,7 @@ def interval(tree, H, K):
 
 def down_set(tree, K):
     """All H with H <= K: K u A over subsets A of the stump edges of K."""
-    kmask = tree.edge_mask(K)
+    (kmask,) = _edge_masks(tree, K)
     ms = sorted((kmask | a for a in _submasks(_stump_edges(tree, kmask))),
                 key=lambda m: (m.bit_count(), m))
     return [tree.vertex_set(m) for m in ms]
@@ -82,7 +89,7 @@ def product_factorization(tree, H):
     weakly above e. The interval is the direct product of the intervals below
     the factors; an empty H yields no factors (empty product). Factors come
     in ascending order of their minimal edge label."""
-    hmask = tree.edge_mask(H)
+    (hmask,) = _edge_masks(tree, H)
     minimal = _t.minimal_edges(tree, H)
     try:
         minimal = sorted(minimal)
@@ -103,7 +110,7 @@ def mobius(tree, H, K):
     comparable=False; comparable pairs get (-1)^{|H|-|K|} when H \\ K is an
     antichain and 0 otherwise.
     """
-    hmask, kmask = tree.edge_mask(H), tree.edge_mask(K)
+    hmask, kmask = _edge_masks(tree, H, K)
     if not _leq_masks(tree, hmask, kmask):
         return MobiusValue(0, False)
     diff = hmask & ~kmask
@@ -116,7 +123,7 @@ def mobius_recursive(tree, H, K):
     """Mobius value by the defining recursion, as an independent route:
     mu(H, H) = 1 and mu(H, K) = -sum over H <= I < K of mu(H, I).
     Rejects incomparable pairs."""
-    hmask, kmask = tree.edge_mask(H), tree.edge_mask(K)
+    hmask, kmask = _edge_masks(tree, H, K)
     if not _leq_masks(tree, hmask, kmask):
         raise ValueError("mobius_recursive needs H <= K")
     elems = _interval_masks(tree, hmask, kmask)
@@ -156,7 +163,7 @@ def mobius_inversion_check(tree, f, K):
 
 def covers_below(tree, K):
     """The elements covered-from-below list for K: K u {e} over stump edges e."""
-    kmask = tree.edge_mask(K)
+    (kmask,) = _edge_masks(tree, K)
     out = []
     m = _stump_edges(tree, kmask)
     while m:
@@ -172,6 +179,7 @@ def hasse_edges(tree, max_edges=16):
     Pairs are exactly (K u {e}, K) for K any edge set and e an edge of the
     stump tree of K. Deterministic order: K by size then mask, e ascending.
     Bounded: rejects trees with more than max_edges edges."""
+    _edge_masks(tree)  # rejects the empty fragmentation tree
     if tree.n_edges > max_edges:
         raise ValueError(
             f"hasse_edges is limited to {max_edges} edges ({tree.n_edges} given)")

@@ -21,9 +21,10 @@ links. Discrete-chain probabilities have three routes:
   kept for comparison only.
 
 Discrete-chain quantities support an exact rational mode: pass rates as
-Fraction values and every route is evaluated in Fraction arithmetic with no
-rounding anywhere. Float mode orders the paper's alternating sums by subset
-size and accumulates with compensated (Neumaier) summation.
+Fraction values and every route is exact, the interval recursion on ints
+scaled by powers of the rates' common denominator, the other routes in
+Fraction arithmetic. Float mode orders the paper's alternating sums by
+subset size and accumulates with compensated (Neumaier) summation.
 
 Key quantity: for a removed set S inside an interval I, lambda^I_S is the
 probability that one step changes nothing, the product over the fragments J
@@ -300,67 +301,85 @@ def tree_prob_continuous(tree, rates, t):
 class _IntervalLaws:
     """The interval recursion, memoised for one call at one horizon t.
 
-    law(lo, hi, mask)[u] is the probability that the interval lo..hi, whole
-    at step 0, has lost exactly the links of mask (bit a-1 = link a, all
-    inside the interval) by step u, for u = 0..t. The memo depends on G only
-    through G inside the interval, so a full table shares it across states.
+    With rho(a) = p(a)/D, where D is the lcm of the rate denominators in
+    exact mode and 1.0 in float mode, law(lo, hi, mask)[u] is D^((k+1)u)
+    times the probability that the interval lo..hi, whole at step 0, has
+    lost exactly the k links of mask (bit a-1 = link a) by step u <= t:
+    F(u) = D^k (D - P_I) F(u-1) + sum over a of D^k p(a) F'(u-1) F''(u-1),
+    P_I being the sum of p over the interval. So exact mode runs on ints up
+    to one Fraction per answer, and float scales are exactly 1.0. The memo
+    depends on G only through G inside the interval, so a full table
+    shares it across states.
     """
 
     def __init__(self, rates, t):
-        self.rates = rates
-        self.t = t
-        self.rho = [None] + [rates.rho(a) for a in range(1, rates.n + 1)]
-        self.zero = rates.one - rates.one
+        self.n, self.t, self.exact = rates.n, t, rates.exact
+        rho = [rates.rho(a) for a in range(1, rates.n + 1)]
+        self.D = (math.lcm(*(Fraction(r).denominator for r in rho))
+                  if self.exact else 1.0)
+        self.p = [None] + [int(r * self.D) if self.exact else r for r in rho]
         self.memo = {}
 
-    def lam(self, lo, hi):
-        lam = self.rates.one - self.rates.rho_sum(range(lo, hi + 1))
-        return lam if lam > 0 else self.zero
+    def stay(self, lo, hi):
+        """D - P_I, clamped at 0 against a negative float rounding residue."""
+        return max(self.D - sum(self.p[lo:hi + 1]), 0)
 
     def law(self, lo, hi, mask):
         key = (lo, hi, mask)
         f = self.memo.get(key)
         if f is None:
             if not mask:
-                lam = self.lam(lo, hi)
+                lam = self.stay(lo, hi)
                 f = [lam ** u for u in range(self.t + 1)]
             else:
+                c = self.D ** mask.bit_count()
                 h = None
                 m = mask
                 while m:
                     low = m & -m
                     m ^= low
                     a = low.bit_length()
-                    h = self._add_break(h, a, self.law(lo, a - 1, mask & (low - 1)),
+                    h = self._add_break(h, c * self.p[a],
+                                        self.law(lo, a - 1, mask & (low - 1)),
                                         self.law(a + 1, hi, mask & -(low << 1)))
-                f = self._scan(self.lam(lo, hi), h)
+                f = self._scan(c * self.stay(lo, hi), h)
             self.memo[key] = f
         return f
 
-    def tree_law(self, tree):
-        """The law of matching the tree: each vertex is the first break of
+    def state_prob(self, mask):
+        return self._prob(self.law(1, self.n, mask)[self.t], mask.bit_count())
+
+    def tree_prob(self, tree):
+        """P(matching the tree at time t): each vertex is the first break of
         its interval, and each side then follows the child on that side, or
         stays whole when there is none."""
         if tree.root is None:
-            return self.law(1, tree.n, 0)
+            return self.state_prob(0)
         g = {}
         for a in tree.postorder:
             lo, hi, lc, rc = tree.lo[a], tree.hi[a], tree.left[a], tree.right[a]
             left = g[lc] if lc is not None else self.law(lo, a - 1, 0)
             right = g[rc] if rc is not None else self.law(a + 1, hi, 0)
-            g[a] = self._scan(self.lam(lo, hi), self._add_break(None, a, left, right))
-        return g[tree.root]
+            c = self.D ** tree._desc[a].bit_count()
+            g[a] = self._scan(c * self.stay(lo, hi),
+                              self._add_break(None, c * self.p[a], left, right))
+        return self._prob(g[tree.root][self.t], len(tree.G))
 
-    def _add_break(self, h, a, left, right):
-        """h + rho(a) * left * right, term by term."""
-        r = self.rho[a]
+    def _prob(self, F, k):
+        """Divide out the scale D^((k+1)t) of an answer over k links."""
+        scale = self.D ** ((k + 1) * self.t)
+        return _clamp_prob(Fraction(F, scale) if self.exact else F / scale,
+                           self.exact)
+
+    def _add_break(self, h, c, left, right):
+        """h + c * left * right, term by term."""
         if h is None:
-            return [r * x * y for x, y in zip(left, right)]
-        return [s + r * x * y for s, x, y in zip(h, left, right)]
+            return [c * x * y for x, y in zip(left, right)]
+        return [s + c * x * y for s, x, y in zip(h, left, right)]
 
     def _scan(self, lam, h):
-        """f(0) = 0 and f(u) = lam * f(u-1) + h(u-1) for u = 1..t."""
-        acc = self.zero
+        """F(0) = 0 and F(u) = lam * F(u-1) + h(u-1) for u = 1..t."""
+        acc = 0
         f = [acc]
         for u in range(self.t):
             acc = lam * acc + h[u]
@@ -400,10 +419,10 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     if tree.n != n:
         raise ValueError("tree and rates disagree on n")
     if method == "auto":
-        return _clamp_prob(_IntervalLaws(rates, t).tree_law(tree)[t], rates.exact)
-    if not tree.G:
-        return lam_interval(rates, [], 1, n) ** t
+        return _IntervalLaws(rates, t).tree_prob(tree)
     pow0 = lam_interval(rates, [], 1, n) ** t
+    if not tree.G:
+        return pow0
     lam_pow = {}
     denom = {}
     terms = []
@@ -439,9 +458,7 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     _check_time(t, "discrete")
     _check_method(method)
     if method == "auto":
-        mask = _state_mask(G, rates.n)
-        return _clamp_prob(_IntervalLaws(rates, t).law(1, rates.n, mask)[t],
-                           rates.exact)
+        return _IntervalLaws(rates, t).state_prob(_state_mask(G, rates.n))
     trees = enumerate_fragmentation_trees(G, rates.n, budget)
     vals = [tree_prob_discrete(tr, rates, t, method) for tr in trees]
     if rates.exact:
@@ -517,8 +534,7 @@ def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
     keys = _state_keys(rates.n)
     if method == "auto":
         laws = _IntervalLaws(rates, t)
-        entries = {G: _clamp_prob(laws.law(1, rates.n, mask)[t], rates.exact)
-                   for mask, G in enumerate(keys)}
+        entries = {G: laws.state_prob(mask) for mask, G in enumerate(keys)}
     else:
         entries = {G: dist_discrete(G, rates, t, budget, method) for G in keys}
     return DistTable("discrete", t, entries)

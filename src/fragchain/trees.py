@@ -19,7 +19,7 @@ Internally subsets of vertices are bitmasks over a fixed vertex order
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class RootedTree:
@@ -53,19 +53,26 @@ class RootedTree:
         self.parent = parent
         self.children = {v: tuple(children[v]) for v in order}
         self._bit = {v: i for i, v in enumerate(order)}
-        anc = {root: 1}
-        for v in order[1:]:
-            anc[v] = anc[parent[v]] | (1 << self._bit[v])
-        desc = {v: 1 << self._bit[v] for v in order}
-        for v in reversed(order):
-            if v != root:
-                desc[parent[v]] |= desc[v]
-        self._anc = anc
-        self._desc = desc
-        # descendant masks indexed by bit position, for mask-only loops
-        self._desc_by_bit = [desc[v] for v in order]
         self.all_mask = (1 << len(order)) - 1
         self.edge_mask_all = self.all_mask & ~1
+
+    # built on first use: tree enumeration and classification never read them
+    @cached_property
+    def _anc(self):
+        anc = {self.root: 1}
+        for v in self.vertices[1:]:
+            anc[v] = anc[self.parent[v]] | (1 << self._bit[v])
+        return anc
+
+    @cached_property
+    def _desc(self):
+        desc = {v: 1 << self._bit[v] for v in self.vertices}
+        for v in reversed(self.vertices[1:]):
+            desc[self.parent[v]] |= desc[v]
+        return desc
+
+    # descendant masks indexed by bit position, for mask-only loops
+    _desc_by_bit = cached_property(lambda self: [self._desc[v] for v in self.vertices])
 
     # -- size and order ------------------------------------------------
 

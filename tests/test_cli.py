@@ -68,6 +68,32 @@ def test_dist_exact_json(rates_file, capsys):
     assert Fraction(entry["probability"]).denominator > 1
 
 
+# P(G) at t=3 for rho = (0.1, 0.15, 0.2, 0.05, 0.3) read as decimals, in
+# table order: by size, then lexicographically
+EXACT_T3 = (
+    "1/125 19/1000 34203/800000 2401/32000 10609/800000 117/1000 "
+    "17097/800000 3717/100000 1683/200000 9/125 9111/160000 13203/1000000 "
+    "22743/200000 13491/800000 591/4000 22491/800000 2871/200000 "
+    "14103/4000000 5607/200000 489/100000 123/3125 1767/200000 "
+    "28413/4000000 5679/100000 51453/4000000 3171/200000 1113/1000000 "
+    "81/10000 477/250000 129/50000 3753/1000000 171/500000").split()
+
+
+def test_dist_exact_json_golden(tmp_path, capsys):
+    p = tmp_path / "decimal.json"
+    p.write_text(json.dumps({"mode": "discrete",
+                             "rho": {"1": 0.1, "2": 0.15, "3": 0.2,
+                                     "4": 0.05, "5": 0.3}}))
+    assert run(["dist", "--rates", str(p), "--time", "3", "--exact",
+                "--format", "json"]) == 0
+    subsets = sorted(([a for a in range(1, 6) if m >> (a - 1) & 1]
+                      for m in range(32)), key=lambda g: (len(g), g))
+    want = {"mode": "discrete", "time": 3,
+            "entries": [{"subset": g, "probability": q}
+                        for g, q in zip(subsets, EXACT_T3)]}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
 def test_dist_oracle_route_agrees(rates_file, capsys):
     assert run(["dist", "--rates", rates_file, "--time", "4"]) == 0
     direct = capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragchain import (RootedTree, down_set, hasse_edges, interval,
+from fragchain import (FragTree, RootedTree, down_set, hasse_edges, interval,
                        is_stump_cut_set, leq_p, mobius, mobius_inversion_check,
                        mobius_recursive, product_factorization, stump_set)
 
@@ -204,3 +204,12 @@ def test_mobius_inversion_check_roundtrip(tree4, rng):
         orig, rec = mobius_inversion_check(tree4, f, K)
         assert orig == rec
         assert isinstance(rec, Fraction)
+
+
+def test_empty_fragtree_rejected():
+    # FragTree(n, None) has no vertices, so it has no pruning order
+    empty = FragTree(4, None)
+    for call in (lambda: hasse_edges(empty, 16), lambda: leq_p(empty, (), ()),
+                 lambda: mobius(empty, (), ())):
+        with pytest.raises(ValueError, match="^the empty tree has no vertices$"):
+            call()

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragchain import (ConsistencyError, FragTree, RateSpec,
                        check_transition_spectrum, dist_continuous,
@@ -296,6 +298,59 @@ def test_recursion_relative_error_at_small_rates():
             assert p == 0.0
         else:
             assert abs(Fraction(p) - q) <= Fraction(1, 10**12) * q
+
+
+@pytest.mark.parametrize("rho", [
+    {1: Fraction(1, 6), 2: Fraction(2, 7), 3: Fraction(1, 11),
+     4: Fraction(1, 10), 5: Fraction(3, 13)},
+    {1: 1},
+    {1: Fraction(1, 5), 2: Fraction(1, 4), 3: Fraction(1, 6),
+     4: Fraction(1, 3), 5: Fraction(1, 20)},
+], ids=["mixed-denominators", "int-rate", "total-one"])
+def test_integer_recursion_agrees_exactly(rho):
+    # the recursion runs on ints scaled by powers of the lcm of the rate
+    # denominators; every answer must be the Fraction of the other routes
+    r = RateSpec("discrete", rho)
+    for t in (0, 1, 3, 6):
+        table = dist_discrete_all(r, t)
+        assert table.entries == transition_matrix_dist(r, t).entries
+        for G, q in table.items():
+            assert isinstance(q, Fraction)
+            assert dist_discrete(G, r, t) == q == \
+                dist_discrete(G, r, t, method="direct")
+            for tr in enumerate_fragmentation_trees(G, r.n):
+                assert tree_prob_discrete(tr, r, t) == \
+                    tree_prob_discrete(tr, r, t, method="direct")
+
+
+@st.composite
+def dyadic_cases(draw):
+    """Rates w_a / (W 2^e) with W the power of two at or above sum(w): the
+    floats hold them exactly, so float and exact mode share one input, at
+    total rates from 2^-31 (below 1e-9) up to 1."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    e = draw(st.integers(0, 30))
+    t = draw(st.integers(0, 200))
+    gm = draw(st.integers(0, (1 << n) - 1))
+    den = (1 << (sum(w) - 1).bit_length()) << e
+    rho = {a + 1: Fraction(w[a], den) for a in range(n)}
+    return rho, [a + 1 for a in range(n) if gm >> a & 1], t
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_cases())
+def test_float_recursion_relative_error(case):
+    # every term of the recursion is nonnegative, so its float rounding
+    # error stays relative and grows at most linearly in |G| and t
+    rho, G, t = case
+    q = dist_discrete(G, RateSpec("discrete", rho), t)
+    p = dist_discrete(G, RateSpec("discrete", {a: float(v) for a, v in rho.items()}), t)
+    if q == 0:
+        assert p == 0.0
+    else:
+        bound = 4 * (len(G) + 1) * (t + 1) * Fraction(1, 2**53)
+        assert abs(Fraction(p) - q) <= bound * q
 
 
 def test_recursion_table_vs_matrix_n12(rng):

@@ -17,6 +17,7 @@ fixes the estimate.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import random
@@ -66,17 +67,12 @@ def _parse_time(text, mode):
     return float(text)
 
 
-def _out_handle(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
-
-
 def _write_out(path, text):
-    fh, close = _out_handle(path)
-    fh.write(text)
-    if close:
-        fh.close()
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 # -- dist ---------------------------------------------------------------------
@@ -85,35 +81,30 @@ def _write_out(path, text):
 def cmd_dist(args):
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
     t = _parse_time(args.time, rates.mode)
-    if args.subset is not None:
-        G = _parse_links(args.subset)
-        if args.oracle:
-            table = (pr.transition_matrix_dist(rates, t) if rates.mode == "discrete"
-                     else pr.generator_matrix_dist(rates, t))
-            p = table[tuple(sorted(G))]
-        elif args.endpoints:
+    G = None if args.subset is None else _parse_links(args.subset)
+    if args.oracle:
+        table = (pr.transition_matrix_dist(rates, t) if rates.mode == "discrete"
+                 else pr.generator_matrix_dist(rates, t))
+        if G is not None:
+            table = pr.DistTable(rates.mode, t, {tuple(sorted(G)): table[G]})
+    elif G is None:
+        table = (pr.dist_discrete_all(rates, t, args.budget, args.method)
+                 if rates.mode == "discrete" else pr.dist_continuous_all(rates, t))
+    else:
+        if args.endpoints:
             p = pr.dist_discrete_endpoints(G, rates, t)
         elif rates.mode == "discrete":
             p = pr.dist_discrete(G, rates, t, args.budget, args.method)
         else:
             p = pr.dist_continuous(G, rates, t)
         table = pr.DistTable(rates.mode, t, {tuple(sorted(G)): p})
-    else:
-        if args.oracle:
-            table = (pr.transition_matrix_dist(rates, t) if rates.mode == "discrete"
-                     else pr.generator_matrix_dist(rates, t))
-        elif rates.mode == "discrete":
-            table = pr.dist_discrete_all(rates, t, args.budget, args.method)
-        else:
-            table = pr.dist_continuous_all(rates, t)
     if args.format == "json":
-        _write_out(args.out, json.dumps(serialize.dist_to_json_dict(table),
-                                        indent=2) + "\n")
+        text = json.dumps(serialize.dist_to_json_dict(table), indent=2) + "\n"
     else:
-        fh, close = _out_handle(args.out)
-        serialize.dist_to_csv(table, fh)
-        if close:
-            fh.close()
+        buf = io.StringIO()
+        serialize.dist_to_csv(table, buf)
+        text = buf.getvalue()
+    _write_out(args.out, text)
     return 0
 
 
@@ -247,9 +238,32 @@ def _group(name, ok, detail):
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
-def cmd_verify(args):
+def _verify_inputs(args):
+    """Check every option before any group runs. Returns the rates of the
+    --rates file (None without one) and the t-grid."""
+    rates = None if args.rates is None else serialize.rates_from_dict(args.rates)
+    if rates is not None and rates.mode != "discrete":
+        raise ValueError("verify --rates needs discrete rates")
+    n = args.n if rates is None else rates.n
+    if not 1 <= n <= pr.MATRIX_MAX_N:
+        raise ValueError(f"verify needs n in 1..{pr.MATRIX_MAX_N}, got {n}")
+    tgrid = args.t_grid.split(",")
+    if not all(x.strip().isdecimal() for x in tgrid):
+        raise ValueError(f"--t-grid needs nonnegative integers, got {args.t_grid!r}")
+    if args.shape_edges < 1:
+        raise ValueError(f"--shape-edges must be at least 1, got {args.shape_edges}")
+    if args.inversion_trials < 0:
+        raise ValueError("--inversion-trials must be at least 0, "
+                         f"got {args.inversion_trials}")
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    return rates, [int(x) for x in tgrid]
+
+
+def cmd_verify(args):
+    rates, tgrid = _verify_inputs(args)
     rng = random.Random(args.seed)
     tol = args.tol
     groups = []
@@ -285,18 +299,13 @@ def cmd_verify(args):
                          f"{args.inversion_trials} trials, {bad} mismatches"))
 
     # discrete formula against the transition-matrix oracle
-    if args.rates is not None:
-        rates = serialize.rates_from_dict(args.rates)
-        if rates.mode != "discrete":
-            raise ValueError("verify --rates needs discrete rates")
-    else:
+    if rates is None:
         rates = pr.random_rates(args.n, rng, total=1.0)
     oracle_rates = rates
     if args.inject_perturbation:
         rho = {a: rates.rho(a) for a in range(1, rates.n + 1)}
         rho[1] = rho[1] * (1 - args.inject_perturbation)
         oracle_rates = pr.RateSpec("discrete", rho)
-    tgrid = [int(x) for x in args.t_grid.split(",")]
     err = 0.0
     rerr = 0.0
     recursion = {t: pr.dist_discrete_all(rates, t) for t in tgrid}
@@ -361,12 +370,9 @@ def cmd_verify(args):
         groups.append(_group("coupled_vs_direct", worst <= 4.0,
                              f"N={args.samples}, max|z|={worst:.2f}"))
     else:
-        groups.append({"name": "mc_tree_concordance", "status": "skip",
-                       "detail": "samples=0"})
-        groups.append({"name": "coupled_vs_direct", "status": "skip",
-                       "detail": "samples=0"})
-        print("skip  mc_tree_concordance              samples=0")
-        print("skip  coupled_vs_direct                samples=0")
+        for name in ("mc_tree_concordance", "coupled_vs_direct"):
+            print(f"skip  {name:32s} samples=0")
+            groups.append({"name": name, "status": "skip", "detail": "samples=0"})
 
     ok = all(g["status"] != "fail" for g in groups)
     report = {"pass": ok, "seed": args.seed, "n": rates.n, "groups": groups}

@@ -16,9 +16,10 @@ links. Discrete-chain probabilities have three routes:
   over the 2^(|G|-1) cut sets of its edges. The method names the way
   lambda_diff forms the waiting-rate denominators. Only this route and tree
   enumeration are subject to the enumeration budget (BudgetError);
-* oracles: the transition-matrix power (discrete) and the generator
-  exponential (continuous), built straight from the one-step definition and
-  kept for comparison only.
+* oracles: the transition-matrix power (discrete) and the uniformised
+  generator exponential (continuous), built straight from the one-step
+  definition and kept for comparison only. Both multiply a sparse vector by
+  sparse dict rows in the standard library; every term is nonnegative.
 
 Discrete-chain quantities support an exact rational mode: pass rates as
 Fraction values and every route is exact, the interval recursion on ints
@@ -46,6 +47,7 @@ from .fragments import (DEFAULT_BUDGET, Fragment, chain_fragments,
 
 MATRIX_MAX_N = 12
 GENERATOR_MAX_N = 10
+GENERATOR_MAX_RT = 10_000
 
 
 class RateSpec:
@@ -590,61 +592,65 @@ def transition_rows(rates):
     return rows
 
 
+def _times_rows(v, rows, zero):
+    """The sparse row vector v times the matrix of sparse rows."""
+    nxt = {}
+    for s, p in v.items():
+        for s2, q in rows[s].items():
+            nxt[s2] = nxt.get(s2, zero) + p * q
+    return nxt
+
+
 def transition_matrix_dist(rates, t):
     """DistTable of the discrete chain at time t from the transition matrix:
-    the row of the empty state of the t-th power. Exact in rational mode,
-    scipy sparse in float mode. Independent oracle for dist_discrete."""
+    the row of the empty state of the t-th power, as t sparse vector-matrix
+    products in the rates' own arithmetic (exact in rational mode).
+    Independent oracle for dist_discrete."""
     _check_time(t, "discrete")
     rows = transition_rows(rates)
-    n = rates.n
-    if rates.exact:
-        v = {0: Fraction(1)}
-        for _ in range(t):
-            nxt = {}
-            for s, p in v.items():
-                for s2, q in rows[s].items():
-                    nxt[s2] = nxt.get(s2, Fraction(0)) + p * q
-            v = nxt
-        entries = {G: v.get(m, Fraction(0)) for m, G in enumerate(_state_keys(n))}
-        return DistTable("discrete", t, entries)
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    data, ri, ci = [], [], []
-    for s, row in rows.items():
-        for s2, p in row.items():
-            ri.append(s)
-            ci.append(s2)
-            data.append(p)
-    P = csr_matrix((data, (ri, ci)), shape=(1 << n, 1 << n))
-    v = np.zeros(1 << n)
-    v[0] = 1.0
+    zero = rates.one * 0
+    v = {0: rates.one}
     for _ in range(t):
-        v = v @ P
-    entries = {G: float(v[m]) for m, G in enumerate(_state_keys(n))}
+        v = _times_rows(v, rows, zero)
+    entries = {G: v.get(m, zero) for m, G in enumerate(_state_keys(rates.n))}
     return DistTable("discrete", t, entries)
 
 
 def generator_matrix_dist(rates, t):
-    """DistTable of the continuous chain at time t via the exponential of the
-    generator. Independent oracle for dist_continuous."""
+    """DistTable of the continuous chain at time t from the generator Q, by
+    uniformisation (Jensen 1953): with L = rho(1..n) and x = L t, the row of
+    the empty state of exp(Qt) is the sum over k <= x + 10 sqrt(x) + 30 of
+    Poisson(x) weights, formed in log space, times the row of (I + Q/L)^k.
+    Every term is nonnegative, so the floats stay accurate in relative terms.
+    Independent oracle for dist_continuous."""
     if rates.mode != "continuous":
         raise ValueError("generator_matrix_dist needs continuous rates")
     _check_time(t, "continuous")
     n = rates.n
     if n > GENERATOR_MAX_N:
         raise ValueError(f"generator matrix limited to n <= {GENERATOR_MAX_N}")
-    import numpy as np
-    from scipy.linalg import expm
-    size = 1 << n
-    Q = np.zeros((size, size))
-    for s in range(size):
-        for a in range(1, n + 1):
-            bit = 1 << (a - 1)
-            if not s & bit:
-                Q[s, s | bit] = float(rates.rho(a))
-        Q[s, s] = -Q[s].sum()
-    P = expm(Q * float(t))
-    entries = {G: float(P[0, m]) for m, G in enumerate(_state_keys(n))}
+    rho = [float(rates.rho(a)) for a in range(1, n + 1)]
+    total = math.fsum(rho)
+    x = total * float(t)
+    if x > GENERATOR_MAX_RT:
+        raise ValueError(f"generator oracle needs rho(1..n) t <= {GENERATOR_MAX_RT}")
+    # rows of I + Q/L: link a breaks with probability rho(a)/L, and the
+    # state stays with the rate of its broken links over L
+    rows = {}
+    for s in range(1 << n):
+        rows[s] = {s: math.fsum(rho[a] for a in range(n) if s >> a & 1) / total}
+        rows[s].update((s | 1 << a, rho[a] / total)
+                       for a in range(n) if not s >> a & 1)
+    terms = math.ceil(x + 10 * math.sqrt(x) + 30) if x else 0
+    lx = math.log(x) if x else 0.0
+    v = {0: 1.0}
+    acc = {0: math.exp(-x)}
+    for k in range(1, terms + 1):
+        v = _times_rows(v, rows, 0.0)
+        w = math.exp(k * lx - x - math.lgamma(k + 1))
+        for s, p in v.items():
+            acc[s] = acc.get(s, 0.0) + w * p
+    entries = {G: acc.get(m, 0.0) for m, G in enumerate(_state_keys(n))}
     return DistTable("continuous", float(t), entries)
 
 

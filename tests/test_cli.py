@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fragchain import catalan, dist_discrete, mobius, tree_prob_discrete
 from fragchain.cli import run
 from fragchain.serialize import dist_from_csv, fragtree_to_dict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -372,3 +378,54 @@ def test_verify_rejects_negative_samples(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", [
+    ["--n", "0"], ["--n", "13"], ["--t-grid", "1,-2"], ["--t-grid", ""],
+    ["--shape-edges", "-1"], ["--shape-edges", "0"],
+    ["--inversion-trials", "-3"], ["--tol", "-1"], ["--tol", "nan"],
+], ids=lambda o: " ".join(o))
+def test_verify_rejects_bad_option_before_any_group(option, capsys):
+    assert run(["verify", "--samples", "0"] + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_verify_rejects_oversized_rates_file(tmp_path, capsys):
+    p = tmp_path / "rates13.json"
+    p.write_text(json.dumps({"mode": "discrete",
+                             "rho": {str(a): 0.05 for a in range(1, 14)}}))
+    assert run(["verify", "--rates", str(p), "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_oracles_import_only_the_standard_library(tmp_path):
+    # verify and both dist --oracle routes, run in a fresh interpreter,
+    # import no module from outside the standard library and fragchain
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"mode": "discrete",
+                                 "rho": {"1": 0.1, "2": 0.2, "3": 0.3}}))
+    crates = tmp_path / "crates.json"
+    crates.write_text(json.dumps({"mode": "continuous",
+                                  "rho": {"1": 0.7, "2": 1.3, "3": 0.4}}))
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "from fragchain.cli import run",
+        "assert run(['verify', '--n', '4', '--samples', '200']) == 0",
+        f"assert run(['dist', '--rates', {str(rates)!r}, '--time', '3', '--oracle']) == 0",
+        f"assert run(['dist', '--rates', {str(crates)!r}, '--time', '1.5', '--oracle']) == 0",
+        "allowed = set(sys.stdlib_module_names) | {'fragchain'}",
+        "extra = sorted(m for m in set(sys.modules) - before",
+        "               if m.split('.')[0] not in allowed)",
+        "assert not extra, extra",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -353,6 +353,73 @@ def test_float_recursion_relative_error(case):
         assert abs(Fraction(p) - q) <= bound * q
 
 
+@st.composite
+def dyadic_matrix_cases(draw):
+    """Like dyadic_cases, but the whole table and total rates below 1."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    e = draw(st.integers(0, 30))
+    t = draw(st.integers(0, 40))
+    den = (1 << sum(w).bit_length()) << e
+    return {a + 1: Fraction(w[a], den) for a in range(n)}, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_matrix_cases())
+def test_float_matrix_oracle_relative_error(case):
+    # the rates and every 1 - rho(J) are exact floats here, and every term of
+    # the vector-matrix product is nonnegative. A row entry is a product of
+    # at most n factors, and a step adds one product per predecessor, at
+    # most 2^n of them, so the error stays relative and grows at most like
+    # t (n + 2^n) u. Worst seen in 3,000 random cases: 1.8e-15 relative,
+    # 4% of the bound.
+    rho, t = case
+    n = len(rho)
+    exact = transition_matrix_dist(RateSpec("discrete", rho), t)
+    table = transition_matrix_dist(
+        RateSpec("discrete", {a: float(v) for a, v in rho.items()}), t)
+    bound = 2 * (t + 1) * (n + 2**n) * Fraction(1, 2**53)
+    for G, q in exact.items():
+        p = table[G]
+        if q == 0:
+            assert p == 0.0
+        else:
+            assert abs(Fraction(p) - q) <= bound * q
+
+
+@st.composite
+def spread_rate_cases(draw):
+    """Continuous rates w_a 10^-k_a with k_a in 0..9, so one chain mixes
+    rate scales from 1e-9 to 16, and a horizon with rho(1..n) t up to 50."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    k = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    x = draw(st.floats(1e-3, 50))
+    rho = {a + 1: w[a] * 10.0 ** -k[a] for a in range(n)}
+    return rho, x / math.fsum(rho.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_rate_cases())
+def test_generator_oracle_relative_error(case):
+    # uniformisation sums nonnegative terms, so every entry, tails included,
+    # agrees with the closed form in relative terms. Worst seen in 3,000
+    # random cases: 2.8e-14 relative.
+    rho, t = case
+    r = RateSpec("continuous", rho)
+    for G, p in generator_matrix_dist(r, t).items():
+        q = dist_continuous(G, r, t)
+        assert abs(p - q) <= 1e-12 * q
+
+
+def test_generator_horizon_guard():
+    # the series needs about rho(1..n) t terms, so past the cap it refuses
+    r = RateSpec("continuous", {1: 1.0, 2: 1.0})
+    generator_matrix_dist(r, 5_000.0)
+    with pytest.raises(ValueError):
+        generator_matrix_dist(r, 5_001.0)
+
+
 def test_recursion_table_vs_matrix_n12(rng):
     r = random_rates(12, rng, total=1.0)
     for t in (3, 8):

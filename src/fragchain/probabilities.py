@@ -8,9 +8,11 @@ links. Discrete-chain probabilities have three routes:
   of an intact interval I breaks, the two sides I' and I'' evolve
   independently, so
   f_I(t) = lambda_I f_I(t-1) + sum over a in G of rho(a) f_I'(t-1) f_I''(t-1).
-  It touches O(|G|^2) intervals, costs O(|G|^3 t), and every term is
-  nonnegative, so float results are accurate in relative terms. With the
-  root of every interval fixed it gives one tree's probability;
+  A cached program per table, state or tree lists each interval state it
+  reaches once (O(|G|^2) for a state) and advances them all a step at a
+  time, in memory that does not grow with t. Every term is nonnegative, so
+  float results are accurate in relative terms. With the root of every
+  interval fixed it gives one tree's probability;
 * the paper's route (method="direct" or "expanded"): a sum over the
   Catalan(|G|) fragmentation trees of G, each an inclusion-exclusion sum
   over the 2^(|G|-1) cut sets of its edges. The method names the way
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -300,100 +303,105 @@ def tree_prob_continuous(tree, rates, t):
     return _clamp_prob(neumaier_sum(terms), False)
 
 
-class _IntervalLaws:
-    """The interval recursion, memoised for one call at one horizon t.
+def _compile(n, keys, tops, roots=None):
+    """The interval recursion for the states tops as a program: index arrays
+    that name no rate, so one program serves all rates and horizons.
 
-    With rho(a) = p(a)/D, where D is the lcm of the rate denominators in
-    exact mode and 1.0 in float mode, law(lo, hi, mask)[u] is D^((k+1)u)
-    times the probability that the interval lo..hi, whole at step 0, has
-    lost exactly the k links of mask (bit a-1 = link a) by step u <= t:
-    F(u) = D^k (D - P_I) F(u-1) + sum over a of D^k p(a) F'(u-1) F''(u-1),
-    P_I being the sum of p over the interval. So exact mode runs on ints up
-    to one Fraction per answer, and float scales are exactly 1.0. The memo
-    depends on G only through G inside the interval, so a full table
-    shares it across states.
+    State (lo, hi, mask): the interval lo..hi, whole at step 0, has lost
+    exactly the k = popcount(mask) links of mask (bit a-1 = link a). It
+    breaks first at a link a of mask (of roots[state] if roots is given),
+    into (lo, a-1, mask below a) and (a+1, hi, mask above a). keys lists
+    each state reachable from tops; each gets one index, inner states first
+    by falling break count, intact ones (mask 0) last. A rank holds arrays
+    of the link and the two sides' indices: `last` has the last break of
+    every inner state, earlier[j] the j-th from the lowest of every state
+    with over j + 1 breaks, so it covers a prefix of the inner states.
     """
-
-    def __init__(self, rates, t):
-        self.n, self.t, self.exact = rates.n, t, rates.exact
-        rho = [rates.rho(a) for a in range(1, rates.n + 1)]
-        self.D = (math.lcm(*(Fraction(r).denominator for r in rho))
-                  if self.exact else 1.0)
-        self.p = [None] + [int(r * self.D) if self.exact else r for r in rho]
-        self.memo = {}
-
-    def stay(self, lo, hi):
-        """D - P_I, clamped at 0 against a negative float rounding residue."""
-        return max(self.D - sum(self.p[lo:hi + 1]), 0)
-
-    def law(self, lo, hi, mask):
-        key = (lo, hi, mask)
-        f = self.memo.get(key)
-        if f is None:
-            if not mask:
-                lam = self.stay(lo, hi)
-                f = [lam ** u for u in range(self.t + 1)]
-            else:
-                c = self.D ** mask.bit_count()
-                h = None
-                m = mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    a = low.bit_length()
-                    h = self._add_break(h, c * self.p[a],
-                                        self.law(lo, a - 1, mask & (low - 1)),
-                                        self.law(a + 1, hi, mask & -(low << 1)))
-                f = self._scan(c * self.stay(lo, hi), h)
-            self.memo[key] = f
-        return f
-
-    def state_prob(self, mask):
-        return self._prob(self.law(1, self.n, mask)[self.t], mask.bit_count())
-
-    def tree_prob(self, tree):
-        """P(matching the tree at time t): each vertex is the first break of
-        its interval, and each side then follows the child on that side, or
-        stays whole when there is none."""
-        if tree.root is None:
-            return self.state_prob(0)
-        g = {}
-        for a in tree.postorder:
-            lo, hi, lc, rc = tree.lo[a], tree.hi[a], tree.left[a], tree.right[a]
-            left = g[lc] if lc is not None else self.law(lo, a - 1, 0)
-            right = g[rc] if rc is not None else self.law(a + 1, hi, 0)
-            c = self.D ** tree._desc[a].bit_count()
-            g[a] = self._scan(c * self.stay(lo, hi),
-                              self._add_break(None, c * self.p[a], left, right))
-        return self._prob(g[tree.root][self.t], len(tree.G))
-
-    def _prob(self, F, k):
-        """Divide out the scale D^((k+1)t) of an answer over k links."""
-        scale = self.D ** ((k + 1) * self.t)
-        return _clamp_prob(Fraction(F, scale) if self.exact else F / scale,
-                           self.exact)
-
-    def _add_break(self, h, c, left, right):
-        """h + c * left * right, term by term."""
-        if h is None:
-            return [c * x * y for x, y in zip(left, right)]
-        return [s + c * x * y for s, x, y in zip(h, left, right)]
-
-    def _scan(self, lam, h):
-        """F(0) = 0 and F(u) = lam * F(u-1) + h(u-1) for u = 1..t."""
-        acc = 0
-        f = [acc]
-        for u in range(self.t):
-            acc = lam * acc + h[u]
-            f.append(acc)
-        return f
+    keys = sorted(keys, key=lambda key: key[2].bit_count(), reverse=True)
+    index = {key: i for i, key in enumerate(keys)}
+    intervals = {}
+    iv = array("i", [intervals.setdefault(key[:2], len(intervals)) for key in keys])
+    ranks = [(array("i"), array("i"), array("i")) for _ in range(n)]
+    for lo, hi, mask in keys:
+        links = _state_links(mask) if roots is None else roots.get((lo, hi, mask), ())
+        for j, a in enumerate(links):
+            low = 1 << (a - 1)
+            rank = ranks[j if j < len(links) - 1 else -1]
+            rank[0].append(a)
+            rank[1].append(index[lo, a - 1, mask & (low - 1)])
+            rank[2].append(index[a + 1, hi, mask & -(low << 1)])
+    k = array("i", [key[2].bit_count() for key in keys])
+    outs = array("i", map(index.__getitem__, tops))
+    return list(intervals), iv, k, [r for r in ranks[:-1] if r[0]], ranks[-1], outs
 
 
-def _state_mask(G, n):
-    g = set(G)
-    if any(not 1 <= a <= n for a in g):
-        raise ValueError("links must lie in 1..n")
-    return sum(1 << (a - 1) for a in g)
+@functools.lru_cache(maxsize=1)
+def _table_program(n):
+    """All 2^n states, which reach every (lo, hi, mask); kept for the last n
+    asked only, as _state_keys."""
+    keys = [(lo, hi, m << (lo - 1)) for lo in range(1, n + 2)
+            for hi in range(lo - 1, n + 1) for m in range(1 << (hi - lo + 1))]
+    return _compile(n, keys, [(1, n, m) for m in range(1 << n)])
+
+
+@functools.lru_cache(maxsize=64)
+def _state_program(n, mask):
+    """One state, which reaches each piece of the chain between two of its
+    links or a chain end, with its links inside."""
+    cuts = [0] + _state_links(mask) + [n + 1]
+    keys = [(x + 1, y - 1, mask & ((1 << (y - 1)) - (1 << x)))
+            for i, x in enumerate(cuts) for y in cuts[i + 1:]]
+    return _compile(n, keys, [(1, n, mask)])
+
+
+@functools.lru_cache(maxsize=64)
+def _tree_program(tree):
+    """One tree, cached by its structure key (FragTree hashes and compares by
+    it): vertex a is the state (lo_a, hi_a, its subtree's links) that breaks
+    at a only, and a side without a child is intact."""
+    sub = {None: 0}
+    for a in tree.postorder:
+        sub[a] = 1 << (a - 1) | sub[tree.left[a]] | sub[tree.right[a]]
+    roots = {(tree.lo[a], tree.hi[a], sub[a]): [a] for a in tree.G}
+    sides = [(x + 1, y - 1, 0) for x, y in zip((0,) + tree.G, tree.G + (tree.n + 1,))]
+    return _compile(tree.n, list(roots) + sides, [(1, tree.n, sub[tree.root])], roots)
+
+
+def _run(prog, rates, t):
+    """The probabilities of a program's outputs at step t.
+
+    With rho(a) = p(a)/D, D the lcm of the rate denominators in exact mode
+    and 1.0 in float mode, a state over k links carries F = D^((k+1)u) f:
+    F(0) = 0, F(u) = D^k (D - P_I) F(u-1) + sum over its breaks a of
+    D^k p(a) F'(u-1) F''(u-1), P_I the sum of p over the interval, and an
+    intact one (D - P_I)^u. Exact mode runs on ints up to one Fraction per
+    answer. All states advance together: memory is O(states) whatever t.
+    Breaks add in ascending link order, the last inside the update, as the
+    floats always did (0 + x is x for x >= 0), so they keep their bits.
+    """
+    intervals, iv, ks, earlier, last, outs = prog
+    exact = rates.exact
+    rho = [rates.rho(a) for a in range(1, rates.n + 1)]
+    D = math.lcm(*(Fraction(r).denominator for r in rho)) if exact else 1.0
+    p = [1] + [int(r * D) if exact else r for r in rho]
+    # D - P_I, clamped at 0 against a negative float rounding residue
+    stays = [max(D - sum(p[lo:hi + 1]), 0) for lo, hi in intervals]
+    # a state over k links reads D^k p(a) at a, and D^k at 0 (as p[0] = 1)
+    rows = list(map({k: [D ** k * q for q in p] for k in set(ks)}.__getitem__, ks))
+    lam = [row[0] * stays[i] for row, i in zip(rows, iv)]
+    lam, intact, zeros = lam[:len(last[0])], lam[len(last[0]):], [0] * len(last[0])
+    *earlier, (cl, ll, rl) = [([row[a] for row, a in zip(rows, links)], ls, rs)
+                              for links, ls, rs in earlier + [last]]
+    f = zeros + [s ** 0 for s in intact]
+    for u in range(1, t + 1):
+        h = zeros[:] if earlier else zeros
+        for rank in earlier:
+            h[:len(rank[0])] = [s + c * f[l] * f[r] for s, c, l, r in zip(h, *rank)]
+        f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
+             in zip(lam, f, h, cl, ll, rl)] + [s ** u for s in intact]
+    scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
+    return [_clamp_prob(Fraction(f[i], scales[ks[i]]) if exact
+                        else f[i] / scales[ks[i]], exact) for i in outs]
 
 
 def _check_method(method):
@@ -421,13 +429,11 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     if tree.n != n:
         raise ValueError("tree and rates disagree on n")
     if method == "auto":
-        return _IntervalLaws(rates, t).tree_prob(tree)
+        return _run(_tree_program(tree), rates, t)[0]
     pow0 = lam_interval(rates, [], 1, n) ** t
     if not tree.G:
         return pow0
-    lam_pow = {}
-    denom = {}
-    terms = []
+    lam_pow, denom, terms = {}, {}, []
     for size, hmask in _edge_submasks_by_size(tree):
         comp = tree.component_masks(hmask)
         stump = comp[tree.root]
@@ -460,7 +466,10 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     _check_time(t, "discrete")
     _check_method(method)
     if method == "auto":
-        return _IntervalLaws(rates, t).state_prob(_state_mask(G, rates.n))
+        g = set(G)
+        if any(not 1 <= a <= rates.n for a in g):
+            raise ValueError("links must lie in 1..n")
+        return _run(_state_program(rates.n, sum(1 << (a - 1) for a in g)), rates, t)[0]
     trees = enumerate_fragmentation_trees(G, rates.n, budget)
     vals = [tree_prob_discrete(tr, rates, t, method) for tr in trees]
     if rates.exact:
@@ -479,8 +488,7 @@ def dist_discrete_endpoints(G, rates, t):
         raise ValueError("dist_discrete_endpoints needs discrete rates")
     _check_time(t, "discrete")
     g = tuple(sorted(set(G)))
-    ends = {1, rates.n}
-    if not set(g) <= ends:
+    if not set(g) <= {1, rates.n}:
         raise ValueError("endpoint formula needs G inside {1, n}")
     total = Fraction(0) if rates.exact else 0.0
     k = len(g)
@@ -524,9 +532,9 @@ def _state_keys(n):
 
 
 def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
-    """Full DistTable over every subset of 1..n. "auto" shares one interval
-    recursion memo across all states; the other methods evaluate the
-    paper's formula state by state."""
+    """Full DistTable over every subset of 1..n. "auto" runs one interval
+    recursion program for all states at once; the other methods evaluate
+    the paper's formula state by state."""
     if rates.n > 20:
         raise ValueError("full tables are limited to n <= 20")
     if rates.mode != "discrete":
@@ -535,8 +543,7 @@ def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
     _check_method(method)
     keys = _state_keys(rates.n)
     if method == "auto":
-        laws = _IntervalLaws(rates, t)
-        entries = {G: laws.state_prob(mask) for mask, G in enumerate(keys)}
+        entries = dict(zip(keys, _run(_table_program(rates.n), rates, t)))
     else:
         entries = {G: dist_discrete(G, rates, t, budget, method) for G in keys}
     return DistTable("discrete", t, entries)
@@ -554,14 +561,7 @@ def dist_continuous_all(rates, t):
 
 
 def _state_links(mask):
-    out = []
-    a = 1
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return out
+    return [a + 1 for a in range(mask.bit_length()) if mask >> a & 1]
 
 
 def transition_rows(rates):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from fragchain import (ConsistencyError, FragTree, RateSpec,
                        generator_matrix_dist, lambda_diff, lambda_value,
                        random_rates, transition_matrix_dist, transition_rows,
                        tree_prob_continuous, tree_prob_discrete)
+from fragchain import probabilities
 from fragchain.probabilities import lam_interval
 
 from conftest import make_rng
@@ -351,6 +353,173 @@ def test_float_recursion_relative_error(case):
     else:
         bound = 4 * (len(G) + 1) * (t + 1) * Fraction(1, 2**53)
         assert abs(Fraction(p) - q) <= bound * q
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_cases(), st.integers(min_value=0))
+def test_float_tree_recursion_relative_error(case, pick):
+    # one tree of G per example: each vertex's interval runs the same
+    # nonnegative recursion with its root fixed, so the bound of the state
+    # route holds. Worst seen in 3,000 random cases: 0.15 (|G|+1)(t+1) 2^-53.
+    rho, G, t = case
+    trees = enumerate_fragmentation_trees(G, len(rho))
+    tree = trees[pick % len(trees)]
+    q = tree_prob_discrete(tree, RateSpec("discrete", rho), t)
+    p = tree_prob_discrete(
+        tree, RateSpec("discrete", {a: float(v) for a, v in rho.items()}), t)
+    if q == 0:
+        assert p == 0.0
+    else:
+        bound = 4 * (len(G) + 1) * (t + 1) * Fraction(1, 2**53)
+        assert abs(Fraction(p) - q) <= bound * q
+
+
+# -- float bits, the program cache and memory ---------------------------------
+
+GOLDEN_RATES = {1: 0.11, 2: 0.07, 3: 0.13, 4: 0.05, 5: 0.17, 6: 0.09}
+
+#: dist_discrete_all(RateSpec("discrete", GOLDEN_RATES), 10), float reprs
+GOLDEN_TABLE_T10 = {
+    (): 6.278211847988225e-05,
+    (1,): 0.0007351405444962377,
+    (2,): 0.0005220300625500287,
+    (3,): 0.00230855893364449,
+    (4,): 0.00043710623583208995,
+    (5,): 0.0037182292907634723,
+    (6,): 0.0004632092038784181,
+    (1, 2): 0.0017131021654349942,
+    (1, 3): 0.007153267649626906,
+    (1, 4): 0.0017634681600695102,
+    (1, 5): 0.014943326540776916,
+    (1, 6): 0.0030469102021395186,
+    (2, 3): 0.0036323513633855424,
+    (2, 4): 0.0009445762145091792,
+    (2, 5): 0.008120204463223505,
+    (2, 6): 0.0018469529066461317,
+    (3, 4): 0.0025758790732674794,
+    (3, 5): 0.02205180061254595,
+    (3, 6): 0.006070438112659202,
+    (4, 5): 0.0042427290297363035,
+    (4, 6): 0.0011546822049388235,
+    (5, 6): 0.0072849944329467,
+    (1, 2, 3): 0.008334707768929514,
+    (1, 2, 4): 0.0023436860057042385,
+    (1, 2, 5): 0.01931674703889342,
+    (1, 2, 6): 0.005072616141003696,
+    (1, 3, 4): 0.006679971915965505,
+    (1, 3, 5): 0.05482703334973345,
+    (1, 3, 6): 0.01668666897422885,
+    (1, 4, 5): 0.012808456790444617,
+    (1, 4, 6): 0.003997231670954504,
+    (1, 5, 6): 0.026058922375991524,
+    (2, 3, 4): 0.003300843084811465,
+    (2, 3, 5): 0.027122183331928874,
+    (2, 3, 6): 0.008337234557332741,
+    (2, 4, 5): 0.006570216904152453,
+    (2, 4, 6): 0.002085498737202133,
+    (2, 5, 6): 0.013932429042028061,
+    (3, 4, 5): 0.01576234849152607,
+    (3, 4, 6): 0.0052315421325920645,
+    (3, 5, 6): 0.03575322975300287,
+    (4, 5, 6): 0.007098208089971908,
+    (1, 2, 3, 4): 0.006732432676851707,
+    (1, 2, 3, 5): 0.053214507393615544,
+    (1, 2, 3, 6): 0.01737178760792584,
+    (1, 2, 4, 5): 0.013766418957681967,
+    (1, 2, 4, 6): 0.0046681584822855305,
+    (1, 2, 5, 6): 0.030610434806708144,
+    (1, 3, 4, 5): 0.03508203673218681,
+    (1, 3, 4, 6): 0.012338440638733126,
+    (1, 3, 5, 6): 0.08249277916703926,
+    (1, 4, 5, 6): 0.019558785508579597,
+    (2, 3, 4, 5): 0.017259962917443854,
+    (2, 3, 4, 6): 0.006077514558679432,
+    (2, 3, 5, 6): 0.040781672471266434,
+    (2, 4, 5, 6): 0.009988206560507062,
+    (3, 4, 5, 6): 0.0232322936201749,
+    (1, 2, 3, 4, 5): 0.0313700122998956,
+    (1, 2, 3, 4, 6): 0.011471621767299751,
+    (1, 2, 3, 5, 6): 0.07515068685555289,
+    (1, 2, 4, 5, 6): 0.019547953302905208,
+    (1, 3, 4, 5, 6): 0.048361835622366275,
+    (2, 3, 4, 5, 6): 0.02384729078803443,
+    (1, 2, 3, 4, 5, 6): 0.040963651586317595,
+}
+
+
+def test_float_golden_pins():
+    # the recursion's float results, bit for bit: any change to the order of
+    # its floating-point operations moves some of these last digits
+    r = RateSpec("discrete", GOLDEN_RATES)
+    table = dist_discrete_all(r, 10)
+    assert {G: repr(p) for G, p in table.entries.items()} == \
+        {G: repr(p) for G, p in GOLDEN_TABLE_T10.items()}
+    trees = [(FragTree(6, 3, {3: 1}, {3: 5, 5: 6}), 10, 0.011153273876384462),
+             (FragTree(6, 4, {4: 2, 2: 1}, {2: 3}), 25, 1.4005701376326743e-05),
+             (FragTree(6, 6, {6: 1}, {}), 3, 0.014156999999999998)]
+    for tree, t, want in trees:
+        assert repr(tree_prob_discrete(tree, r, t)) == repr(want)
+
+
+def _clear_programs():
+    for cached in (probabilities._table_program, probabilities._state_program,
+                   probabilities._tree_program):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_program_cache_never_changes_a_result(exact, rng):
+    r = random_rates(6, rng, total=Fraction(9, 10) if exact else 0.9, exact=exact)
+    other = random_rates(6, rng, exact=exact)
+    tree = FragTree(6, 3, {3: 1}, {3: 5, 5: 6})
+
+    def results():
+        return (dist_discrete_all(r, 10).entries, dist_discrete([1, 3, 5, 6], r, 10),
+                tree_prob_discrete(tree, r, 10))
+
+    _clear_programs()
+    cold = results()
+    warm = results()
+    # programs built for other rates and horizons serve these as well
+    _clear_programs()
+    dist_discrete_all(other, 3)
+    dist_discrete([1, 3, 5, 6], other, 4)
+    tree_prob_discrete(FragTree(6, 3, {3: 1}, {3: 5, 5: 6}), other, 5)
+    reused = results()
+    assert repr(cold) == repr(warm) == repr(reused)
+
+
+def test_program_cache_memory_after_n12_table():
+    # the cache keeps one full-table program, as compact index arrays
+    r = RateSpec("discrete", {a: 0.9 / 12 for a in range(1, 13)})
+    _clear_programs()
+    tracemalloc.start()
+    try:
+        table = dist_discrete_all(r, 3)
+        assert len(table.entries) == 4096
+        del table
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * 2**20
+
+
+def test_long_horizon_memory_stays_flat():
+    # all states advance together with one value each, so memory does not
+    # grow with t (a list of t + 1 values per state took about 12 MiB here)
+    r1, r2 = 1e-6, 2e-6
+    r = RateSpec("discrete", {1: r1, 2: r2})
+    t = 10**5
+    tracemalloc.start()
+    try:
+        p = dist_discrete([1], r, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # link 1 breaks first, after which link 2 alone stays whole
+    want = (1 - r2) ** t * -math.expm1(t * math.log1p(-r1 / (1 - r2)))
+    assert math.isclose(p, want, rel_tol=1e-9)
 
 
 @st.composite

@@ -8,11 +8,11 @@ links. Discrete-chain probabilities have three routes:
   of an intact interval I breaks, the two sides I' and I'' evolve
   independently, so
   f_I(t) = lambda_I f_I(t-1) + sum over a in G of rho(a) f_I'(t-1) f_I''(t-1).
-  A cached program per table, state or tree lists each interval state it
-  reaches once (O(|G|^2) for a state) and advances them all a step at a
-  time, in memory that does not grow with t. Every term is nonnegative, so
-  float results are accurate in relative terms. With the root of every
-  interval fixed it gives one tree's probability;
+  A program per table or state lists each interval state it reaches once
+  (O(|G|^2) for a state) and advances them all a step at a time, in memory
+  that does not grow with t. Every term is nonnegative, so float results
+  are accurate in relative terms. With the root of every interval fixed it
+  gives one tree's probability, by a scan over the tree's vertices;
 * the paper's route (method="direct" or "expanded"): a sum over the
   Catalan(|G|) fragmentation trees of G, each an inclusion-exclusion sum
   over the 2^(|G|-1) cut sets of its edges. The method names the way
@@ -303,19 +303,20 @@ def tree_prob_continuous(tree, rates, t):
     return _clamp_prob(neumaier_sum(terms), False)
 
 
-def _compile(n, keys, tops, roots=None):
+def _compile(n, keys, tops):
     """The interval recursion for the states tops as a program: index arrays
     that name no rate, so one program serves all rates and horizons.
 
     State (lo, hi, mask): the interval lo..hi, whole at step 0, has lost
     exactly the k = popcount(mask) links of mask (bit a-1 = link a). It
-    breaks first at a link a of mask (of roots[state] if roots is given),
-    into (lo, a-1, mask below a) and (a+1, hi, mask above a). keys lists
-    each state reachable from tops; each gets one index, inner states first
-    by falling break count, intact ones (mask 0) last. A rank holds arrays
-    of the link and the two sides' indices: `last` has the last break of
-    every inner state, earlier[j] the j-th from the lowest of every state
-    with over j + 1 breaks, so it covers a prefix of the inner states.
+    breaks first at a link a of mask, into (lo, a-1, mask below a) and
+    (a+1, hi, mask above a). keys lists each state reachable from tops; each
+    gets one index, inner states first by falling break count, intact ones
+    (mask 0) last. A rank holds arrays of the link and the two sides'
+    indices: `last` has the last break of every inner state, earlier[j] the
+    j-th from the lowest of every state with over j + 1 breaks, so it covers
+    a prefix of the inner states. Returns the distinct intervals, each
+    state's interval index and k, earlier, last and the indices of tops.
     """
     keys = sorted(keys, key=lambda key: key[2].bit_count(), reverse=True)
     index = {key: i for i, key in enumerate(keys)}
@@ -323,7 +324,7 @@ def _compile(n, keys, tops, roots=None):
     iv = array("i", [intervals.setdefault(key[:2], len(intervals)) for key in keys])
     ranks = [(array("i"), array("i"), array("i")) for _ in range(n)]
     for lo, hi, mask in keys:
-        links = _state_links(mask) if roots is None else roots.get((lo, hi, mask), ())
+        links = _state_links(mask)
         for j, a in enumerate(links):
             low = 1 << (a - 1)
             rank = ranks[j if j < len(links) - 1 else -1]
@@ -335,73 +336,128 @@ def _compile(n, keys, tops, roots=None):
     return list(intervals), iv, k, [r for r in ranks[:-1] if r[0]], ranks[-1], outs
 
 
-@functools.lru_cache(maxsize=1)
 def _table_program(n):
-    """All 2^n states, which reach every (lo, hi, mask); kept for the last n
-    asked only, as _state_keys."""
+    """All 2^n states, which reach every (lo, hi, mask). The program of the
+    last n <= MATRIX_MAX_N asked is kept (1.6 MiB at n = 12), as its state
+    keys are; a larger one, some 2^(n+2) states, is freed with its call."""
+    return _cached_table_program(n) if n <= MATRIX_MAX_N else _build_table_program(n)
+
+
+def _build_table_program(n):
     keys = [(lo, hi, m << (lo - 1)) for lo in range(1, n + 2)
             for hi in range(lo - 1, n + 1) for m in range(1 << (hi - lo + 1))]
     return _compile(n, keys, [(1, n, m) for m in range(1 << n)])
 
 
-@functools.lru_cache(maxsize=64)
+_cached_table_program = functools.lru_cache(maxsize=1)(_build_table_program)
+
+
+@functools.lru_cache(maxsize=1)
 def _state_program(n, mask):
     """One state, which reaches each piece of the chain between two of its
-    links or a chain end, with its links inside."""
+    links or a chain end, with its links inside. The last one asked is kept,
+    for callers that repeat a state at other rates or horizons."""
     cuts = [0] + _state_links(mask) + [n + 1]
     keys = [(x + 1, y - 1, mask & ((1 << (y - 1)) - (1 << x)))
             for i, x in enumerate(cuts) for y in cuts[i + 1:]]
     return _compile(n, keys, [(1, n, mask)])
 
 
-@functools.lru_cache(maxsize=64)
-def _tree_program(tree):
-    """One tree, cached by its structure key (FragTree hashes and compares by
-    it): vertex a is the state (lo_a, hi_a, its subtree's links) that breaks
-    at a only, and a side without a child is intact."""
-    sub = {None: 0}
-    for a in tree.postorder:
-        sub[a] = 1 << (a - 1) | sub[tree.left[a]] | sub[tree.right[a]]
-    roots = {(tree.lo[a], tree.hi[a], sub[a]): [a] for a in tree.G}
-    sides = [(x + 1, y - 1, 0) for x, y in zip((0,) + tree.G, tree.G + (tree.n + 1,))]
-    return _compile(tree.n, list(roots) + sides, [(1, tree.n, sub[tree.root])], roots)
+def _scaled_rates(rates):
+    """D and p with rho(a) = p[a]/D: D is the lcm of the rate denominators
+    in exact mode, so every p[a] is an int, and 1.0 in float mode. p[0] = 1."""
+    rho = [rates.rho(a) for a in range(1, rates.n + 1)]
+    if not rates.exact:
+        return 1.0, [1] + rho
+    D = math.lcm(*(Fraction(r).denominator for r in rho))
+    return D, [1] + [int(r * D) for r in rho]
 
 
 def _run(prog, rates, t):
     """The probabilities of a program's outputs at step t.
 
-    With rho(a) = p(a)/D, D the lcm of the rate denominators in exact mode
-    and 1.0 in float mode, a state over k links carries F = D^((k+1)u) f:
-    F(0) = 0, F(u) = D^k (D - P_I) F(u-1) + sum over its breaks a of
-    D^k p(a) F'(u-1) F''(u-1), P_I the sum of p over the interval, and an
-    intact one (D - P_I)^u. Exact mode runs on ints up to one Fraction per
-    answer. All states advance together: memory is O(states) whatever t.
-    Breaks add in ascending link order, the last inside the update, as the
-    floats always did (0 + x is x for x >= 0), so they keep their bits.
+    With rho(a) = p(a)/D (see _scaled_rates), a state over k links carries
+    F = D^((k+1)u) f: F(0) = 0, F(u) = D^k (D - P_I) F(u-1) + sum over its
+    breaks a of D^k p(a) F'(u-1) F''(u-1), P_I the sum of p over the
+    interval, and an intact one (D - P_I)^u. Exact mode runs on ints up to
+    one Fraction per answer. All states advance together: memory is
+    O(states) whatever t. Breaks add in ascending link order, the last
+    inside the update, as the floats always did (0 + x is x for x >= 0),
+    so they keep their bits.
     """
     intervals, iv, ks, earlier, last, outs = prog
-    exact = rates.exact
-    rho = [rates.rho(a) for a in range(1, rates.n + 1)]
-    D = math.lcm(*(Fraction(r).denominator for r in rho)) if exact else 1.0
-    p = [1] + [int(r * D) if exact else r for r in rho]
+    D, p = _scaled_rates(rates)
     # D - P_I, clamped at 0 against a negative float rounding residue
     stays = [max(D - sum(p[lo:hi + 1]), 0) for lo, hi in intervals]
-    # a state over k links reads D^k p(a) at a, and D^k at 0 (as p[0] = 1)
-    rows = list(map({k: [D ** k * q for q in p] for k in set(ks)}.__getitem__, ks))
-    lam = [row[0] * stays[i] for row, i in zip(rows, iv)]
-    lam, intact, zeros = lam[:len(last[0])], lam[len(last[0]):], [0] * len(last[0])
-    *earlier, (cl, ll, rl) = [([row[a] for row, a in zip(rows, links)], ls, rs)
-                              for links, ls, rs in earlier + [last]]
+    # a state over k links reads D^k p(a) at link a, and D^k at 0
+    coefs = {k: [D ** k * q for q in p] for k in set(ks)}
+    rows = [coefs[k] for k in ks]
+    inner = len(last[0])
+    lam = [rows[i][0] * stays[iv[i]] for i in range(inner)]
+    intact = [stays[iv[i]] for i in range(inner, len(ks))]
+
+    def rates_at(links):
+        return [row[a] for row, a in zip(rows, links)]
+
+    ranks = [(rates_at(links), ls, rs) for links, ls, rs in earlier]
+    last_c, last_l, last_r = rates_at(last[0]), last[1], last[2]
+    zeros = [0] * inner
     f = zeros + [s ** 0 for s in intact]
     for u in range(1, t + 1):
-        h = zeros[:] if earlier else zeros
-        for rank in earlier:
-            h[:len(rank[0])] = [s + c * f[l] * f[r] for s, c, l, r in zip(h, *rank)]
+        # h: every break but the last, each rank over a prefix of the states;
+        # with no ranks it stays all zeros and needs no copy
+        h = zeros[:] if ranks else zeros
+        for c, ls, rs in ranks:
+            h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
         f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
-             in zip(lam, f, h, cl, ll, rl)] + [s ** u for s in intact]
+             in zip(lam, f, h, last_c, last_l, last_r)] + [s ** u for s in intact]
     scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
-    return [_clamp_prob(Fraction(f[i], scales[ks[i]]) if exact
-                        else f[i] / scales[ks[i]], exact) for i in outs]
+    return [_clamp_prob(Fraction(f[i], scales[ks[i]]) if rates.exact
+                        else f[i] / scales[ks[i]], rates.exact) for i in outs]
+
+
+def _tree_prob(tree, rates, t):
+    """P(matching the tree at step t): each vertex is the first break of its
+    interval, and each side then follows the child on that side, or stays
+    whole when there is none. F is scaled as in _run. Every state here has
+    one break, so a postorder scan runs each vertex over all t steps; a
+    child's list is dropped once its parent has read it."""
+    D, p = _scaled_rates(rates)
+    F = {}
+
+    def stay(lo, hi):
+        return max(D - sum(p[lo:hi + 1]), 0)
+
+    def side(child, lo, hi):
+        if child is None:
+            s = stay(lo, hi)
+            return [s ** u for u in range(t)]
+        return F.pop(child)
+
+    for a in tree.postorder:
+        lo, hi = tree.lo[a], tree.hi[a]
+        left = side(tree.left[a], lo, a - 1)
+        right = side(tree.right[a], a + 1, hi)
+        c = D ** tree._desc[a].bit_count()
+        lam, q = c * stay(lo, hi), c * p[a]
+        f = [0]
+        for u in range(t):
+            f.append(lam * f[u] + q * left[u] * right[u])
+        F[a] = f
+    if tree.root is None:
+        top, k = stay(1, tree.n) ** t, 0
+    else:
+        top, k = F[tree.root][t], len(tree.G)
+    scale = D ** ((k + 1) * t)
+    return _clamp_prob(Fraction(top, scale) if rates.exact else top / scale,
+                       rates.exact)
+
+
+def _state_mask(G, n):
+    g = set(G)
+    if any(not 1 <= a <= n for a in g):
+        raise ValueError("links must lie in 1..n")
+    return sum(1 << (a - 1) for a in g)
 
 
 def _check_method(method):
@@ -429,11 +485,13 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     if tree.n != n:
         raise ValueError("tree and rates disagree on n")
     if method == "auto":
-        return _run(_tree_program(tree), rates, t)[0]
+        return _tree_prob(tree, rates, t)
     pow0 = lam_interval(rates, [], 1, n) ** t
     if not tree.G:
         return pow0
-    lam_pow, denom, terms = {}, {}, []
+    lam_pow = {}
+    denom = {}
+    terms = []
     for size, hmask in _edge_submasks_by_size(tree):
         comp = tree.component_masks(hmask)
         stump = comp[tree.root]
@@ -466,10 +524,7 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     _check_time(t, "discrete")
     _check_method(method)
     if method == "auto":
-        g = set(G)
-        if any(not 1 <= a <= rates.n for a in g):
-            raise ValueError("links must lie in 1..n")
-        return _run(_state_program(rates.n, sum(1 << (a - 1) for a in g)), rates, t)[0]
+        return _run(_state_program(rates.n, _state_mask(G, rates.n)), rates, t)[0]
     trees = enumerate_fragmentation_trees(G, rates.n, budget)
     vals = [tree_prob_discrete(tr, rates, t, method) for tr in trees]
     if rates.exact:
@@ -488,7 +543,8 @@ def dist_discrete_endpoints(G, rates, t):
         raise ValueError("dist_discrete_endpoints needs discrete rates")
     _check_time(t, "discrete")
     g = tuple(sorted(set(G)))
-    if not set(g) <= {1, rates.n}:
+    ends = {1, rates.n}
+    if not set(g) <= ends:
         raise ValueError("endpoint formula needs G inside {1, n}")
     total = Fraction(0) if rates.exact else 0.0
     k = len(g)
@@ -561,7 +617,14 @@ def dist_continuous_all(rates, t):
 
 
 def _state_links(mask):
-    return [a + 1 for a in range(mask.bit_length()) if mask >> a & 1]
+    out = []
+    a = 1
+    while mask:
+        if mask & 1:
+            out.append(a)
+        mask >>= 1
+        a += 1
+    return out
 
 
 def transition_rows(rates):

@@ -462,9 +462,8 @@ def test_float_golden_pins():
 
 
 def _clear_programs():
-    for cached in (probabilities._table_program, probabilities._state_program,
-                   probabilities._tree_program):
-        cached.cache_clear()
+    probabilities._cached_table_program.cache_clear()
+    probabilities._state_program.cache_clear()
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -484,7 +483,6 @@ def test_program_cache_never_changes_a_result(exact, rng):
     _clear_programs()
     dist_discrete_all(other, 3)
     dist_discrete([1, 3, 5, 6], other, 4)
-    tree_prob_discrete(FragTree(6, 3, {3: 1}, {3: 5, 5: 6}), other, 5)
     reused = results()
     assert repr(cold) == repr(warm) == repr(reused)
 
@@ -502,6 +500,15 @@ def test_program_cache_memory_after_n12_table():
     finally:
         tracemalloc.stop()
     assert kept < 4 * 2**20
+
+
+def test_program_cache_skips_tables_above_matrix_n():
+    # some 2^(n+2) states: a program this size is built for its call only
+    _clear_programs()
+    n = probabilities.MATRIX_MAX_N + 1
+    table = dist_discrete_all(RateSpec("discrete", {a: 0.05 for a in range(1, n + 1)}), 0)
+    assert table.entries[()] == 1.0
+    assert probabilities._cached_table_program.cache_info().currsize == 0
 
 
 def test_long_horizon_memory_stays_flat():

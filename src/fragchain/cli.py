@@ -23,7 +23,9 @@ import math
 import random
 import sys
 
-from . import fragments, poset, probabilities as pr, serialize, simulate as sim
+# probabilities, simulate, poset and serialize are imported inside the
+# commands that use them, so a process loads only what its command runs
+from . import fragments
 from . import trees as trees_mod
 from .errors import BudgetError, ConsistencyError
 
@@ -51,6 +53,8 @@ def _parse_labels(text):
 def _load_tree_any(path):
     """A tree file is either a fragmentation tree (has "links") or a bare
     rooted tree {"root": ..., "edges": ...}."""
+    from . import serialize
+
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
     if "links" in d:
@@ -79,6 +83,8 @@ def _write_out(path, text):
 
 
 def cmd_dist(args):
+    from . import probabilities as pr, serialize
+
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
     t = _parse_time(args.time, rates.mode)
     G = None if args.subset is None else _parse_links(args.subset)
@@ -112,6 +118,8 @@ def cmd_dist(args):
 
 
 def cmd_treeprob(args):
+    from . import probabilities as pr, serialize
+
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
     tree = _load_tree_any(args.tree)
     if not isinstance(tree, fragments.FragTree):
@@ -129,11 +137,16 @@ def cmd_treeprob(args):
 
 
 def cmd_trees(args):
+    if args.links < 1:
+        raise ValueError("--links must be at least 1")
     G = _parse_links(args.subset)
     ts = fragments.enumerate_fragmentation_trees(G, args.links, args.budget)
     if args.format == "count":
         print(len(ts))
-    elif args.format == "dot":
+        return 0
+    from . import serialize
+
+    if args.format == "dot":
         out = []
         for i, tr in enumerate(ts):
             out.append(serialize.fragtree_to_dot(tr, name=f"F{i}"))
@@ -148,6 +161,8 @@ def cmd_trees(args):
 
 
 def cmd_poset(args):
+    from . import poset, serialize
+
     tree = _load_tree_any(args.tree)
     if args.interval is not None:
         htext, _, ktext = args.interval.partition(":")
@@ -178,6 +193,8 @@ def cmd_poset(args):
 
 
 def cmd_mobius(args):
+    from . import poset
+
     tree = _load_tree_any(args.tree)
     H = _parse_labels(getattr(args, "from"))
     K = _parse_labels(args.to)
@@ -196,6 +213,10 @@ def cmd_mobius(args):
 
 
 def cmd_simulate(args):
+    from . import probabilities as pr, serialize, simulate as sim
+
+    if args.seed is None:
+        args.seed = sim.DEFAULT_SEED
     rates = serialize.rates_from_dict(args.rates)
     t = _parse_time(args.time, rates.mode)
     if (args.tree is None) == (args.subset is None):
@@ -241,6 +262,8 @@ def _group(name, ok, detail):
 def _verify_inputs(args):
     """Check every option before any group runs. Returns the rates of the
     --rates file (None without one) and the t-grid."""
+    from . import probabilities as pr, serialize
+
     rates = None if args.rates is None else serialize.rates_from_dict(args.rates)
     if rates is not None and rates.mode != "discrete":
         raise ValueError("verify --rates needs discrete rates")
@@ -263,6 +286,10 @@ def _verify_inputs(args):
 
 
 def cmd_verify(args):
+    from . import poset, probabilities as pr, simulate as sim
+
+    if args.seed is None:
+        args.seed = sim.DEFAULT_SEED
     rates, tgrid = _verify_inputs(args)
     rng = random.Random(args.seed)
     tol = args.tol
@@ -363,10 +390,11 @@ def cmd_verify(args):
     # Monte Carlo concordance
     if args.samples > 0:
         t = tgrid[len(tgrid) // 2] or 1
-        worst = _mc_concordance(rates, t, args.samples, args.seed)
+        counts = sim.batch_tree_counts(rates, t, args.samples, args.seed)
+        worst = _mc_concordance(rates, t, counts, args.samples)
         groups.append(_group("mc_tree_concordance", worst <= 4.0,
                              f"N={args.samples}, max|z|={worst:.2f}"))
-        worst = _coupling_agreement(rates, t, args.samples, args.seed, rng)
+        worst = _coupling_agreement(rates, t, counts, args.samples, args.seed, rng)
         groups.append(_group("coupled_vs_direct", worst <= 4.0,
                              f"N={args.samples}, max|z|={worst:.2f}"))
     else:
@@ -382,8 +410,9 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _mc_concordance(rates, t, samples, seed):
-    counts = sim.batch_tree_counts(rates, t, samples, seed)
+def _mc_concordance(rates, t, counts, samples):
+    from . import probabilities as pr
+
     worst = 0.0
     for gm in range(1 << rates.n):
         G = [a + 1 for a in range(rates.n) if gm >> a & 1]
@@ -397,12 +426,18 @@ def _mc_concordance(rates, t, samples, seed):
     return worst
 
 
-def _coupling_agreement(rates, t, samples, seed, rng):
+def _coupling_agreement(rates, t, counts, samples, seed, rng):
+    """z-score of the coupled estimate of one random tree against its direct
+    estimate, read from the batch's counts: the same trajectories that
+    estimate_tree_prob(tree, rates, t, samples, seed) would simulate."""
+    from . import simulate as sim
+
     worst = 0.0
     trees_pool = fragments.enumerate_fragmentation_trees(
         sorted(rng.sample(range(1, rates.n + 1), min(2, rates.n))), rates.n)
     tree = trees_pool[rng.randrange(len(trees_pool))]
-    p1, se1 = sim.estimate_tree_prob(tree, rates, t, samples, seed)
+    p1 = counts.get(tree.structure_key(), 0) / samples
+    se1 = math.sqrt(p1 * (1 - p1) / samples)
     p2, se2 = sim.estimate_tree_prob_coupled(tree, rates, t, samples, seed + 1)
     se = math.sqrt(se1 ** 2 + se2 ** 2)
     if se > 0:
@@ -483,7 +518,7 @@ def build_parser():
     si.add_argument("--rates", required=True)
     si.add_argument("--time", required=True)
     si.add_argument("--samples", type=int, default=100000)
-    si.add_argument("--seed", type=int, default=sim.DEFAULT_SEED)
+    si.add_argument("--seed", type=int)
     si.add_argument("--tree")
     si.add_argument("--subset")
     si.add_argument("--coupled", action="store_true",
@@ -498,7 +533,7 @@ def build_parser():
     ve.add_argument("--shape-edges", type=int, default=4)
     ve.add_argument("--inversion-trials", type=int, default=20)
     ve.add_argument("--samples", type=int, default=20000)
-    ve.add_argument("--seed", type=int, default=sim.DEFAULT_SEED)
+    ve.add_argument("--seed", type=int)
     ve.add_argument("--tol", type=float, default=1e-10)
     ve.add_argument("--out")
     ve.add_argument("--inject-perturbation", type=float, default=0.0,

@@ -25,8 +25,8 @@ in ascending link order.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 
 from .errors import BudgetError
 from .trees import RootedTree
@@ -36,20 +36,36 @@ from .trees import RootedTree
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Fragment:
     """A run of consecutive links lo..hi; hi = lo-1 encodes the empty run
-    sitting at position lo. Identity is the (lo, hi) pair; the anchor
-    metadata (owning vertex and side) is carried for display only."""
+    sitting at position lo. Identity is the (lo, hi) pair, which orders and
+    hashes fragments; the anchor metadata (owning vertex and side) is
+    carried for display only. Fragments are immutable."""
 
-    lo: int
-    hi: int
-    vertex: object = field(default=None, compare=False, repr=False)
-    side: object = field(default=None, compare=False, repr=False)
+    def __init__(self, lo, hi, vertex=None, side=None):
+        if hi < lo - 1:
+            raise ValueError(f"bad fragment bounds ({lo}, {hi})")
+        self.__dict__.update(lo=lo, hi=hi, vertex=vertex, side=side)
 
-    def __post_init__(self):
-        if self.hi < self.lo - 1:
-            raise ValueError(f"bad fragment bounds ({self.lo}, {self.hi})")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"Fragment(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) < (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def __len__(self):
         return self.hi - self.lo + 1

@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
@@ -558,13 +557,23 @@ def dist_discrete_endpoints(G, rates, t):
 # -- distribution tables ----------------------------------------------------
 
 
-@dataclass
 class DistTable:
     """Probabilities indexed by state, keys being sorted link tuples."""
 
-    mode: str
-    time: object
-    entries: dict
+    def __init__(self, mode, time, entries):
+        self.mode = mode
+        self.time = time
+        self.entries = entries
+
+    def __repr__(self):
+        return (f"DistTable(mode={self.mode!r}, time={self.time!r}, "
+                f"entries={self.entries!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.mode, self.time, self.entries)
+                == (other.mode, other.time, other.entries))
 
     def __getitem__(self, G):
         return self.entries[tuple(sorted(G))]

@@ -14,20 +14,42 @@ All text I/O is UTF-8 with LF line endings.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
-from .fragments import FragTree
-from .probabilities import DistTable, RateSpec
-from .trees import RootedTree
 
-
-def _load_json(source):
-    if isinstance(source, dict):
-        return source
+def _load_json(source, parse_float=float):
+    """The JSON object of a file name, an open file or a dict; any other
+    JSON value is malformed input."""
     if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, encoding="utf-8") as fh:
-        return json.load(fh)
+        source = json.load(source, parse_float=parse_float)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8") as fh:
+            source = json.load(fh, parse_float=parse_float)
+    if not isinstance(source, dict):
+        raise ValueError(f"expected a JSON object, got {type(source).__name__}")
+    return source
+
+
+def _pair(v, what):
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise ValueError(f"{what} must be a pair, got {v!r}")
+    return v
+
+
+def _edges(d):
+    """The [parent, child] pairs of a tree file."""
+    edges = d.get("edges", [])
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f'"edges" must be a list, got {edges!r}')
+    return [_pair(e, "an edge") for e in edges]
+
+
+def _link(v):
+    """A link label of a fragmentation tree file."""
+    if not isinstance(v, int):
+        raise ValueError(f"links must be integers, got {v!r}")
+    return v
 
 
 # -- trees -------------------------------------------------------------------
@@ -40,13 +62,16 @@ def fragtree_to_dict(tree):
 
 
 def fragtree_from_dict(source):
+    from .fragments import FragTree
+
     d = _load_json(source)
-    lo, n = d["links"]
+    lo, n = map(_link, _pair(d["links"], '"links"'))
     if lo != 1:
         raise ValueError("links must start at 1")
-    root = d["root"]
+    root = None if d["root"] is None else _link(d["root"])
     left, right = {}, {}
-    for p, c in d.get("edges", []):
+    for e in _edges(d):
+        p, c = map(_link, e)
         side = left if c < p else right
         if p in side:
             raise ValueError(f"vertex {p} has two children on one side")
@@ -67,8 +92,10 @@ def rootedtree_to_dict(tree):
 
 
 def rootedtree_from_dict(source):
+    from .trees import RootedTree
+
     d = _load_json(source)
-    return RootedTree(d["root"], [tuple(e) for e in d.get("edges", [])])
+    return RootedTree(d["root"], [tuple(e) for e in _edges(d)])
 
 
 # -- rates -------------------------------------------------------------------
@@ -89,18 +116,15 @@ def _to_exact(v):
 def rates_from_dict(source, exact=False):
     """Load a RateSpec. With exact=True, JSON numbers are read as decimal
     Fractions (and "p/q" strings are accepted), turning on exact mode."""
-    if isinstance(source, dict):
-        d = source
-    else:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        d = json.loads(text, parse_float=Fraction if exact else float)
+    from .probabilities import RateSpec
+
+    d = _load_json(source, parse_float=Fraction if exact else float)
+    rho = d["rho"]
+    if not (isinstance(rho, dict) and all(
+            isinstance(v, (int, float, Fraction, str)) for v in rho.values())):
+        raise ValueError('"rho" must map each link to a number')
     conv = _to_exact if exact else _parse_number
-    rho = {int(k): conv(v) for k, v in d["rho"].items()}
-    spec = RateSpec(d["mode"], rho)
+    spec = RateSpec(d["mode"], {int(k): conv(v) for k, v in rho.items()})
     if "n" in d and int(d["n"]) != spec.n:
         raise ValueError("declared n disagrees with the rho table")
     return spec
@@ -129,6 +153,8 @@ def dist_to_csv(table, fh):
 
 
 def dist_from_csv(fh):
+    from .probabilities import DistTable
+
     header = fh.readline().strip()
     if header != "subset,probability":
         raise ValueError("not a distribution table")

@@ -23,7 +23,6 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .fragments import FragTree
 
@@ -40,15 +39,25 @@ def substream(seed, index=0):
     return random.Random((int(seed) << 64) + int(index))
 
 
-@dataclass
 class Trajectory:
     """Removal times of every link up to a horizon; math.inf marks a link
     still intact at the horizon (or never resolved, for failed couplings)."""
 
-    mode: str
-    n: int
-    horizon: object
-    removal_time: dict
+    def __init__(self, mode, n, horizon, removal_time):
+        self.mode = mode
+        self.n = n
+        self.horizon = horizon
+        self.removal_time = removal_time
+
+    def __repr__(self):
+        return (f"Trajectory(mode={self.mode!r}, n={self.n!r}, "
+                f"horizon={self.horizon!r}, removal_time={self.removal_time!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.mode, self.n, self.horizon, self.removal_time)
+                == (other.mode, other.n, other.horizon, other.removal_time))
 
     def removed_at(self, t):
         return frozenset(_removed(self, t))

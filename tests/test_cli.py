@@ -429,3 +429,149 @@ def test_oracles_import_only_the_standard_library(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _fresh_python(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_commands_import_only_what_they_run(rates_file, tree_file, rooted_file):
+    # trees, poset and mobius never load the probability or simulation
+    # layers, and no command loads dataclasses (which pulls in inspect)
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "from fragchain.cli import run",
+        "assert run(['trees', '--links', '6', '--subset', '2,4', '--format', 'count']) == 0",
+        f"assert run(['poset', '--tree', {rooted_file!r}]) == 0",
+        f"assert run(['poset', '--tree', {tree_file!r}, '--dot']) == 0",
+        f"assert run(['mobius', '--tree', {rooted_file!r}, '--from', '3,4', '--to', '']) == 0",
+        "heavy = {'fragchain.probabilities', 'fragchain.simulate'} & set(sys.modules)",
+        "assert not heavy, heavy",
+        f"assert run(['dist', '--rates', {rates_file!r}, '--time', '2']) == 0",
+        f"assert run(['treeprob', '--rates', {rates_file!r}, '--tree', {tree_file!r}, '--time', '2']) == 0",
+        f"assert run(['simulate', '--rates', {rates_file!r}, '--time', '2', '--subset', '3', '--samples', '50']) == 0",
+        "assert run(['verify', '--n', '3', '--samples', '50']) == 0",
+        "loaded = set(sys.modules) - before",
+        "assert 'fragchain.probabilities' in loaded and 'dataclasses' not in loaded",
+    ])
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+API = """BudgetError CUT ConsistencyError DEFAULT_BUDGET DEFAULT_SEED DEP DistTable
+EMPTY FIRE FragTree Fragment IND MobiusValue RateSpec RootedTree Trajectory
+atom_probability aux_consistent batch_tree_counts catalan chain_fragments
+check_transition_spectrum child_slot_keys classify_tree coupled_construction
+covers_below dist_continuous dist_continuous_all dist_discrete
+dist_discrete_all dist_discrete_endpoints down_set enumerate_atoms
+enumerate_fragmentation_trees enumerate_stump_cut_sets enumerate_tree_shapes
+errors estimate_state_prob estimate_tree_prob estimate_tree_prob_coupled
+external_slots fragment_family fragments fragments_of generator_matrix_dist
+hasse_edges internal_slots interval is_stump_cut_set lambda_diff lambda_value
+leq_p marginal_internal_law matches_tree minimal_edges minimal_vertices mobius
+mobius_inversion_check mobius_recursive poset probabilities
+product_factorization random_rates random_tree sample_aux simulate
+simulate_continuous simulate_discrete slot_order stump_cut_set stump_set
+substream subtree support_atoms transition_matrix_dist transition_rows
+tree_prob_continuous tree_prob_discrete trees""".split()
+
+
+def test_package_names_resolve_lazily():
+    # `import fragchain` loads no submodule; every public name is the object
+    # its submodule defines, and the modules themselves are public names
+    script = "\n".join([
+        "import importlib, sys",
+        "import fragchain",
+        "assert [m for m in sys.modules if m.startswith('fragchain.')] == []",
+        f"assert fragchain.__all__ == {API!r}",
+        "mods = {m: importlib.import_module('fragchain.' + m) for m in",
+        "        ('errors', 'fragments', 'poset', 'probabilities', 'simulate', 'trees')}",
+        "for name in fragchain.__all__:",
+        "    obj = getattr(fragchain, name)",
+        "    if name in mods:",
+        "        assert obj is mods[name], name",
+        "        continue",
+        "    homes = [m for m in mods.values() if hasattr(m, name)]",
+        "    assert homes and all(getattr(m, name) is obj for m in homes), name",
+        "    assert getattr(fragchain, name) is obj, name",
+        "ns = {}",
+        "exec('from fragchain import *', ns)",
+        "assert sorted(k for k in ns if k != '__builtins__') == fragchain.__all__",
+        "try:",
+        "    fragchain.no_such_name",
+        "except AttributeError:",
+        "    pass",
+        "else:",
+        "    raise AssertionError('unknown name resolved')",
+    ])
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+VERIFY_N4_STDOUT = """\
+pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
+pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
+pass  discrete_formula_vs_matrix       n=4, t in [0, 1, 2, 5, 10], max|err|=1.665e-16, recursion max|err|=1.110e-16
+pass  normalization_discrete           max|sum-1|=1.110e-16
+pass  endpoints_vs_tree_formula        max|err|=5.551e-17
+pass  matrix_triangular_eigenvalues    states=16, max_diag_error=0.000e+00
+pass  continuous_tree_sum_vs_closed    n=4, max|err|=3.053e-16
+pass  normalization_continuous         max|sum-1|=1.110e-16
+pass  mc_tree_concordance              N=2000, max|z|=2.89
+pass  coupled_vs_direct                N=2000, max|z|=0.80
+verify: PASS
+"""
+
+
+def test_verify_golden_stdout(capsys):
+    # coupled_vs_direct reads its direct estimate from the concordance batch;
+    # the report is the one the separate direct estimate gave
+    assert run(["verify", "--n", "4", "--samples", "2000"]) == 0
+    assert capsys.readouterr().out == VERIFY_N4_STDOUT
+
+
+@pytest.mark.parametrize("content", [
+    {"mode": "discrete", "rho": {"1": None, "2": 0.1}},
+    {"mode": "discrete", "rho": {"1": [1], "2": 0.1}},
+    {"mode": "discrete", "rho": [0.1, 0.2]},
+    [0.1, 0.2],
+], ids=["null rate", "list rate", "rho array", "array file"])
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+def test_malformed_rates_file_exits_2(content, exact, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(content))
+    assert run(["dist", "--rates", str(p), "--time", "2"] + exact) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    {"links": [1, 4], "root": 2, "edges": [[2, "x"]]},
+    {"links": [1, 4], "root": "2", "edges": []},
+    {"links": [1, None], "root": 2, "edges": []},
+    [[0, 1]],
+], ids=["edge label", "root label", "links", "array file"])
+def test_malformed_tree_file_exits_2(content, rates_file, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(content))
+    for args in (["treeprob", "--rates", rates_file, "--time", "2"],
+                 ["poset"], ["mobius", "--from", "2", "--to", ""]):
+        assert run(args + ["--tree", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("error:") for line in lines)
+
+
+@pytest.mark.parametrize("links", ["0", "-2"])
+def test_trees_rejects_links_below_1(links, capsys):
+    assert run(["trees", "--links", links, "--subset", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --links must be at least 1\n"

@@ -418,7 +418,7 @@ def _mc_concordance(rates, t, counts, samples):
         G = [a + 1 for a in range(rates.n) if gm >> a & 1]
         for tr in fragments.enumerate_fragmentation_trees(G, rates.n):
             p = pr.tree_prob_discrete(tr, rates, t)
-            if p < 1e-3:
+            if min(p, 1 - p) < 1e-3:  # too close to 0 or 1 for a z-score
                 continue
             phat = counts.get(tr.structure_key(), 0) / samples
             z = abs(phat - p) / math.sqrt(p * (1 - p) / samples)

@@ -95,7 +95,11 @@ def rootedtree_from_dict(source):
     from .trees import RootedTree
 
     d = _load_json(source)
-    return RootedTree(d["root"], [tuple(e) for e in _edges(d)])
+    edges = [tuple(e) for e in _edges(d)]
+    bad = [v for e in [(d["root"],)] + edges for v in e if not isinstance(v, (int, str))]
+    if bad:
+        raise ValueError(f"vertex labels must be integers or strings, got {bad[0]!r}")
+    return RootedTree(d["root"], edges)
 
 
 # -- rates -------------------------------------------------------------------
@@ -125,8 +129,8 @@ def rates_from_dict(source, exact=False):
         raise ValueError('"rho" must map each link to a number')
     conv = _to_exact if exact else _parse_number
     spec = RateSpec(d["mode"], {int(k): conv(v) for k, v in rho.items()})
-    if "n" in d and int(d["n"]) != spec.n:
-        raise ValueError("declared n disagrees with the rho table")
+    if "n" in d and (type(d["n"]) is not int or d["n"] != spec.n):
+        raise ValueError(f'declared n {d["n"]!r} is not the {spec.n} links of "rho"')
     return spec
 
 

@@ -9,11 +9,11 @@ here, so identical seeds give bit-identical trajectories on any platform.
 Draws for empty fragments and empty external slots are skipped: they would
 hit probability-0 branches, so skipping preserves the law.
 
-The samplers run on plain lists and floats, from tables kept in small
-bounded caches: running sums of rho per rates object, the slot program per
-(tree, rates). The estimators convert the rates to floats once per
-estimate, and classify straight from removal times to an interned tree key.
-No draw or comparison changes: tests/test_simulate.py pins the streams.
+Each sampler is one step kernel, shared by its public function and the
+estimators. An estimate reseeds one generator per index with the same key,
+so its streams are unchanged, and converts the rates to floats once. Tables
+come from small bounded caches: running sums of rho per rates object, the
+slot program per (tree, rates). tests/test_simulate.py pins the streams.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def substream(seed, index=0):
     return random.Random((int(seed) << 64) + int(index))
 
 
+def _streams(seed, samples):
+    """random() of substream(seed, i) for i < samples, from one generator
+    reseeded in C to the state Random(key) builds, until the next is drawn."""
+    gen = random.Random()
+    rand, reseed, key = gen.random, super(random.Random, gen).seed, int(seed) << 64
+    for i in range(samples):
+        reseed(key + i)
+        yield rand
+
+
 class Trajectory:
     """Removal times of every link up to a horizon; math.inf marks a link
     still intact at the horizon (or never resolved, for failed couplings)."""
@@ -56,19 +66,18 @@ class Trajectory:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.mode, self.n, self.horizon, self.removal_time)
-                == (other.mode, other.n, other.horizon, other.removal_time))
+        return vars(self) == vars(other)
 
     def removed_at(self, t):
-        return frozenset(_removed(self, t))
+        _within(t, self.horizon)
+        return frozenset(a for a, tau in self.removal_time.items() if tau <= t)
 
 
-def _removed(traj, t):
-    """The links removed by time t, in the order of removal_time, which is
-    ascending for every trajectory this module makes."""
-    if t > traj.horizon:
+def _within(t, horizon):
+    """The horizon, if the state at time t lies within it."""
+    if t > horizon:
         raise ValueError("time beyond the simulated horizon")
-    return [a for a, tau in traj.removal_time.items() if tau <= t]
+    return horizon
 
 
 @functools.lru_cache(maxsize=8)
@@ -80,37 +89,49 @@ def _prefix_sums(rates):
                            for lo in range(rates.n))
 
 
-def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
-    """One trajectory of the discrete chain up to step t_max.
-
-    Per step, each nonempty fragment draws one uniform and maps it through
-    the cumulative rates of its links in ascending order: u < cum(alpha)
-    breaks alpha, otherwise the fragment survives the step. The first such
-    alpha is the one bisect_right finds.
-    """
-    if rates.mode != "discrete":
-        raise ValueError("simulate_discrete needs discrete rates")
-    rand = substream(seed, index).random
-    n = rates.n
-    cums = _prefix_sums(rates)
-    times = dict.fromkeys(range(1, n + 1), INF)
-    removed = []
-    for step in range(1, int(t_max) + 1):
-        if len(removed) == n:
-            break
+def _discrete_run(cums, n, steps, rand):
+    """Per step, each nonempty fragment draws one uniform u and breaks the
+    first alpha with u < cum(alpha), found by bisect_right, or survives.
+    Returns the broken links ascending, times[a] (its step, math.inf if
+    intact; the ends 0 and n + 1 break first) and each one's matched-tree
+    parent: its fragment's later-broken bound (never tied), None for ends."""
+    times = [-1] + [INF] * n + [-2]
+    parent = {}
+    bounds = [n + 1]  # the removed links, then the right end
+    for step in range(1, steps + 1):
         hits = []
         lo = 1
-        for r in removed + [n + 1]:  # the fragment lo..r-1
+        for r in bounds:  # the fragment lo..r-1
             if r > lo:
                 k = bisect_right(cums[lo], rand(), 0, r - lo)
                 if k < r - lo:
                     hits.append(lo + k)
+                    # the later-broken bound is 0 only when both are ends
+                    parent[lo + k] = (lo - 1 if times[lo - 1] > times[r] else r) or None
             lo = r + 1
         if hits:
             for a in hits:
                 times[a] = step
-            removed = sorted(removed + hits)
-    return Trajectory("discrete", n, int(t_max), times)
+            bounds = sorted(bounds + hits)
+            if len(bounds) > n:
+                break
+    return bounds[:-1], times, parent
+
+
+def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
+    """One trajectory of the discrete chain up to step t_max."""
+    if rates.mode != "discrete":
+        raise ValueError("simulate_discrete needs discrete rates")
+    rand = substream(seed, index).random
+    _, times, _ = _discrete_run(_prefix_sums(rates), rates.n, int(t_max), rand)
+    return Trajectory("discrete", rates.n, int(t_max),
+                      dict(zip(range(1, rates.n + 1), times[1:-1])))
+
+
+def _continuous_run(rho, t_max, rand):
+    """{link: removal time}, exponentials of the float rates rho censored past t_max."""
+    taus = [-math.log1p(-rand()) / r for r in rho]
+    return {a: tau if tau <= t_max else INF for a, tau in enumerate(taus, 1)}
 
 
 def simulate_continuous(rates, t_max, seed=DEFAULT_SEED, index=0):
@@ -118,13 +139,10 @@ def simulate_continuous(rates, t_max, seed=DEFAULT_SEED, index=0):
     exponential removal time up front, censored past t_max."""
     if rates.mode != "continuous":
         raise ValueError("simulate_continuous needs continuous rates")
-    rng = substream(seed, index)
-    t_max = float(t_max)
-    times = {}
-    for a in range(1, rates.n + 1):
-        tau = -math.log1p(-rng.random()) / float(rates.rho(a))
-        times[a] = tau if tau <= t_max else INF
-    return Trajectory("continuous", rates.n, t_max, times)
+    rand = substream(seed, index).random
+    rho = [float(rates.rho(a)) for a in range(1, rates.n + 1)]
+    return Trajectory("continuous", rates.n, float(t_max),
+                      _continuous_run(rho, float(t_max), rand))
 
 
 def matches_tree(traj, tree, t):
@@ -177,6 +195,27 @@ def classify_tree(traj, t):
 _interned = functools.lru_cache(maxsize=4096)(lambda key: key)
 
 
+def _runs(rates, t, samples, seed):
+    """(state at t, removal times, parents or None) of the trajectories
+    i < samples of substream (seed, i): the discrete kernel's parents."""
+    ratesf = rates.as_float()
+    horizon = _within(t, int(t) if rates.mode == "discrete" else float(t))
+    if rates.mode == "discrete":
+        cums = _prefix_sums(ratesf)
+        for rand in _streams(seed, samples):
+            yield _discrete_run(cums, rates.n, horizon, rand)
+        return
+    rho = [ratesf.rho(a) for a in range(1, rates.n + 1)]
+    for rand in _streams(seed, samples):
+        tau = _continuous_run(rho, horizon, rand)
+        yield [a for a, x in tau.items() if x <= t], tau, None
+
+
+def _estimate(hits, samples):
+    p = hits / samples
+    return p, math.sqrt(p * (1 - p) / samples)
+
+
 def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of the tree-matching probability.
 
@@ -186,42 +225,28 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
     broke after one of its children, which is matches_tree.
     """
     _check_sampling(samples)
-    sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
-    ratesf = rates.as_float()
     target = list(tree.G)
     edges = [(tree.parent[c], c) for c in tree.edges]
-    hits = 0
-    for i in range(samples):
-        traj = sim(ratesf, t, seed, i)
-        tau = traj.removal_time
-        if _removed(traj, t) == target and all(tau[p] <= tau[c] for p, c in edges):
-            hits += 1
-    p = hits / samples
-    return p, math.sqrt(p * (1 - p) / samples)
+    return _estimate(sum(1 for state, tau, _ in _runs(rates, t, samples, seed)
+                         if state == target and all(tau[p] <= tau[c] for p, c in edges)),
+                     samples)
 
 
 def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
     _check_sampling(samples)
     target = sorted(set(G))
-    sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
-    ratesf = rates.as_float()
-    hits = sum(1 for i in range(samples)
-               if _removed(sim(ratesf, t, seed, i), t) == target)
-    p = hits / samples
-    return p, math.sqrt(p * (1 - p) / samples)
+    return _estimate(sum(1 for state, _, _ in _runs(rates, t, samples, seed)
+                         if state == target), samples)
 
 
 def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     """Classify a whole batch: counts keyed by the matched tree's
     structure_key(). One batch covers every (state, tree) pair at once."""
-    sim = simulate_discrete if rates.mode == "discrete" else simulate_continuous
-    ratesf = rates.as_float()
     counts = {}
-    for i in range(samples):
-        traj = sim(ratesf, t, seed, i)
-        state = _removed(traj, t)
-        key = (traj.n, tuple(zip(state, _tree_parents(traj.removal_time, state))))
+    for state, tau, parent in _runs(rates, t, samples, seed):
+        key = (rates.n, tuple([(a, parent[a]) for a in state]) if parent is not None
+               else tuple(zip(state, _tree_parents(tau, state))))
         counts[key] = counts.get(key, 0) + 1
     return {_interned(key): c for key, c in counts.items()}
 
@@ -322,7 +347,6 @@ def enumerate_atoms(tree):
     slot left EMPTY is violated, otherwise ranges over EMPTY, CUT, DEP. DEP
     is kept even when one side interval is empty, where its probability
     vanishes; support_atoms applies that filter."""
-    import itertools
     ext = external_slots(tree)
     options = [[EMPTY] if frag.empty else [EMPTY, FIRE] for _, frag in ext]
     atoms = []
@@ -330,18 +354,8 @@ def enumerate_atoms(tree):
         partial = [{k: v for (k, _), v in zip(ext, combo)}]
         for (key, _I, _Il, _Ir) in internal_slots(tree):
             kl, kr = child_slot_keys(tree, key[1])
-            grown = []
-            for d in partial:
-                if d[kl] != EMPTY or d[kr] != EMPTY:
-                    d2 = dict(d)
-                    d2[key] = IND
-                    grown.append(d2)
-                else:
-                    for sym in (EMPTY, CUT, DEP):
-                        d2 = dict(d)
-                        d2[key] = sym
-                        grown.append(d2)
-            partial = grown
+            partial = [{**d, key: sym} for d in partial for sym in
+                       ((IND,) if d[kl] != EMPTY or d[kr] != EMPTY else (EMPTY, CUT, DEP))]
         atoms.extend(partial)
     return atoms
 
@@ -360,12 +374,10 @@ def atom_probability(tree, rates, atom):
     for (key, I, Il, Ir) in internal_slots(tree):
         kl, kr = child_slot_keys(tree, key[1])
         fired = atom[kl] != EMPTY or atom[kr] != EMPTY
-        if fired:
-            if atom[key] != IND:
-                return 0 * p
-            continue
-        if atom[key] == IND:
+        if fired != (atom[key] == IND):  # IND exactly when a child slot fired
             return 0 * p
+        if fired:
+            continue
         lam_a = (1 - rates.rho_sum(Il)) * (1 - rates.rho_sum(Ir))
         if atom[key] == EMPTY:
             p = p * (1 - rates.rho_sum(I)) / lam_a
@@ -402,14 +414,44 @@ def marginal_internal_law(tree, rates, alpha):
     """The four-point marginal law of an internal slot:
     (EMPTY, CUT, DEP, IND) probabilities."""
     _, I, Il, Ir = internal_slots(tree)[tree.postorder.index(alpha)]
-    pe = 1 - rates.rho_sum(I)
-    pc = rates.rho(alpha)
-    pd = rates.rho_sum(Il) * rates.rho_sum(Ir)
     lam_a = (1 - rates.rho_sum(Il)) * (1 - rates.rho_sum(Ir))
-    return {EMPTY: pe, CUT: pc, DEP: pd, IND: 1 - lam_a}
+    return {EMPTY: 1 - rates.rho_sum(I), CUT: rates.rho(alpha),
+            DEP: rates.rho_sum(Il) * rates.rho_sum(Ir), IND: 1 - lam_a}
 
 
 # -- coupled construction ----------------------------------------------------
+
+
+def _coupled_program(tree, rates):
+    if rates.mode != "discrete":
+        raise ValueError("the coupled construction drives the discrete chain")
+    return _slot_program(tree, rates)
+
+
+def _coupled_run(program, steps, rand):
+    """The coupled construction's steps: (removed, failure), the step each
+    removed link broke at and the failing step or None."""
+    layout = program[3]
+    minimal, exposed = list(layout[None][1]), list(layout[None][2])
+    removed = {}
+    for step in range(1, steps + 1):
+        x = _draw_slots(program, rand)
+        for s in exposed:
+            if x[s] == FIRE:
+                return removed, step
+        cut = []
+        for a in minimal:
+            sym = x[layout[a][0]]
+            if sym == CUT:
+                cut.append(a)
+            elif sym != EMPTY:  # DEP or IND
+                return removed, step
+        for a in cut:
+            removed[a] = step
+            minimal.remove(a)
+            minimal += layout[a][1]
+            exposed += layout[a][2]
+    return removed, None
 
 
 def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
@@ -423,25 +465,8 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     removals from the failing step are applied, and the offending link is
     never resolved. Returns (Trajectory, failure_step or None).
     """
-    if rates.mode != "discrete":
-        raise ValueError("the coupled construction drives the discrete chain")
-    program = _slot_program(tree, rates)
-    layout = program[3]
-    rand = substream(seed, index).random
-    minimal, exposed = list(layout[None][1]), list(layout[None][2])
-    removed = {}
-    failure = None
-    for step in range(1, int(t_max) + 1):
-        x = _draw_slots(program, rand)
-        if any(x[s] == FIRE for s in exposed) or \
-                any(x[layout[a][0]] in (DEP, IND) for a in minimal):
-            failure = step
-            break
-        for a in [a for a in minimal if x[layout[a][0]] == CUT]:
-            removed[a] = step
-            minimal.remove(a)
-            minimal += layout[a][1]
-            exposed += layout[a][2]
+    program = _coupled_program(tree, rates)
+    removed, failure = _coupled_run(program, int(t_max), substream(seed, index).random)
     times = {a: removed.get(a, INF) for a in range(1, tree.n + 1)}
     return Trajectory("discrete", tree.n, int(t_max), times), failure
 
@@ -451,12 +476,8 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
     _check_sampling(samples)
-    ratesf = rates.as_float()
-    target = list(tree.G)
-    hits = 0
-    for i in range(samples):
-        traj, failure = coupled_construction(tree, ratesf, t, seed, i)
-        if failure is None and _removed(traj, t) == target:
-            hits += 1
-    p = hits / samples
-    return p, math.sqrt(p * (1 - p) / samples)
+    program = _coupled_program(tree, rates.as_float())
+    steps, size = _within(t, int(t)), len(tree.G)
+    runs = (_coupled_run(program, steps, rand) for rand in _streams(seed, samples))
+    return _estimate(sum(1 for removed, failure in runs
+                         if failure is None and len(removed) == size), samples)

@@ -569,6 +569,43 @@ def test_malformed_tree_file_exits_2(content, rates_file, tmp_path, capsys):
     assert len(lines) == 3 and all(line.startswith("error:") for line in lines)
 
 
+@pytest.mark.parametrize("n", [None, float("inf"), 2.5, "2", True],
+                         ids=["null", "Infinity", "fraction", "string", "bool"])
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+def test_rates_file_with_bad_n_exits_2(n, exact, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"mode": "discrete", "n": n,
+                             "rho": {"1": 0.1, "2": 0.2}}))
+    assert run(["dist", "--rates", str(p), "--time", "2"] + exact) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    {"root": 0, "edges": [[0, [1]]]},
+    {"root": [0], "edges": []},
+    {"root": 0, "edges": [[{"v": 0}, 1]]},
+    {"root": 0.5, "edges": [[0.5, 1]]},
+], ids=["list child", "list root", "object parent", "float label"])
+def test_rooted_tree_file_with_bad_label_exits_2(content, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(content))
+    for args in (["poset"], ["mobius", "--from", "1", "--to", ""]):
+        assert run(args + ["--tree", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error:") for line in lines)
+
+
+def test_verify_single_link_passes(capsys):
+    # with one link at total rate 1 the tree of {1} has probability 1
+    # exactly; its z-score is skipped like that of a tree below 1e-3
+    assert run(["verify", "--n", "1", "--samples", "300"]) == 0
+    assert capsys.readouterr().out.endswith("verify: PASS\n")
+
+
 @pytest.mark.parametrize("links", ["0", "-2"])
 def test_trees_rejects_links_below_1(links, capsys):
     assert run(["trees", "--links", links, "--subset", ""]) == 2

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragchain import (CUT, DEP, EMPTY, FIRE, IND, FragTree, RateSpec,
                        Trajectory, atom_probability, aux_consistent,
@@ -163,6 +165,64 @@ def test_fast_classification_is_the_definition(rates5, crates4):
                 est, _ = estimate_tree_prob(tree, rates, t, n_samp, seed=SEED)
                 assert round(est * n_samp) == \
                     sum(matches_tree(traj, tree, t) for traj in trajs)
+
+
+@st.composite
+def mc_cases_st(draw):
+    """Rates on n <= 6 links, discrete ones summing to at most exactly 1,
+    exact or float, an integer time t <= 6, a seed and a small batch."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["discrete", "continuous"]))
+    scale = (Fraction(draw(st.integers(1, 8)), 8 * sum(weights))
+             if mode == "discrete" else Fraction(1, 4))
+    exact = draw(st.booleans())
+    rates = RateSpec(mode, {a: w * scale if exact else float(w * scale)
+                            for a, w in enumerate(weights, 1)})
+    return rates, draw(st.integers(0, 6)), draw(st.integers(0, 1 << 40)), \
+        draw(st.integers(1, 40))
+
+
+@settings(max_examples=120, deadline=None)
+@given(mc_cases_st())
+def test_estimators_agree_with_the_per_index_samplers(case):
+    # every estimator counts what the public samplers and the definitions
+    # of matching give, trajectory by trajectory, on the same substreams
+    rates, t, seed, samples = case
+    discrete = rates.mode == "discrete"
+    sim = simulate_discrete if discrete else simulate_continuous
+    trajs = [sim(rates, t, seed=seed, index=i) for i in range(samples)]
+    want = {}
+    for traj in trajs:
+        key = classify_tree(traj, t).structure_key()
+        want[key] = want.get(key, 0) + 1
+    counts = batch_tree_counts(rates, t, samples, seed=seed)
+    assert list(counts.items()) == list(want.items())
+    states = {tuple(sorted(traj.removed_at(t))) for traj in trajs}
+    states.add(tuple(range(1, rates.n + 1, 2)))
+    for G in sorted(states):
+        hits = sum(traj.removed_at(t) == frozenset(G) for traj in trajs)
+        assert estimate_state_prob(G, rates, t, samples, seed=seed)[0] == hits / samples
+        for tree in enumerate_fragmentation_trees(G, rates.n):
+            hits = sum(matches_tree(traj, tree, t) for traj in trajs)
+            assert estimate_tree_prob(tree, rates, t, samples, seed=seed)[0] == \
+                hits / samples
+            if not discrete:
+                continue
+            hits = 0
+            for i in range(samples):
+                traj, failure = coupled_construction(tree, rates, t, seed=seed, index=i)
+                hits += failure is None and traj.removed_at(t) == frozenset(tree.G)
+            assert estimate_tree_prob_coupled(tree, rates, t, samples, seed=seed)[0] \
+                == hits / samples
+    if discrete:
+        tree = enumerate_fragmentation_trees(sorted(states)[-1], rates.n)[0]
+        for estimate in (lambda: estimate_tree_prob(tree, rates, 2.5, samples, seed),
+                         lambda: estimate_state_prob(tree.G, rates, 2.5, samples, seed),
+                         lambda: estimate_tree_prob_coupled(tree, rates, 2.5, samples, seed),
+                         lambda: batch_tree_counts(rates, 2.5, samples, seed)):
+            with pytest.raises(ValueError, match="beyond the simulated horizon"):
+                estimate()
 
 
 # -- auxiliary slot process ---------------------------------------------------

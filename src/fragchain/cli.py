@@ -86,6 +86,8 @@ def cmd_dist(args):
     from . import probabilities as pr, serialize
 
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
+    if rates.mode == "continuous" and (args.exact or args.method != "auto"):
+        raise ValueError("--exact and --method need discrete rates")
     t = _parse_time(args.time, rates.mode)
     G = None if args.subset is None else _parse_links(args.subset)
     if args.oracle:
@@ -121,6 +123,8 @@ def cmd_treeprob(args):
     from . import probabilities as pr, serialize
 
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
+    if rates.mode == "continuous" and (args.exact or args.method != "auto"):
+        raise ValueError("--exact and --method need discrete rates")
     tree = _load_tree_any(args.tree)
     if not isinstance(tree, fragments.FragTree):
         raise ValueError("treeprob needs a fragmentation tree file")
@@ -550,6 +554,8 @@ def run(argv):
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
+        if getattr(args, "budget", 0) < 0:  # dist and trees
+            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         return args.func(args)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)

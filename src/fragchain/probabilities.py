@@ -23,11 +23,11 @@ links. Discrete-chain probabilities have three routes:
   definition and kept for comparison only. Both multiply a sparse vector by
   sparse dict rows in the standard library; every term is nonnegative.
 
-Discrete-chain quantities support an exact rational mode: pass rates as
-Fraction values and every route is exact, the interval recursion on ints
-scaled by powers of the rates' common denominator, the other routes in
-Fraction arithmetic. Float mode orders the paper's alternating sums by
-subset size and accumulates with compensated (Neumaier) summation.
+Discrete-chain quantities support an exact rational mode: with Fraction
+rates every route is exact, the interval recursion on the RateSpec's
+integer form of the rates, the others in Fraction arithmetic. Float mode
+sums the paper's alternating sums by subset size, compensated (Neumaier);
+rates add in ascending link order, so floats keep their bits on any Python.
 
 Key quantity: for a removed set S inside an interval I, lambda^I_S is the
 probability that one step changes nothing, the product over the fragments J
@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from itertools import accumulate
 from fractions import Fraction
 
 from .errors import ConsistencyError
@@ -57,8 +58,10 @@ class RateSpec:
 
     mode "discrete": rho are per-step breaking probabilities, all strictly
     positive with total at most 1 (equality allowed). mode "continuous":
-    rho are exponential rates, strictly positive. Rates given as Fraction
-    (or int) values switch the discrete formulas into exact arithmetic.
+    rho are exponential rates, strictly positive. Fraction (or int) rates
+    switch the discrete formulas into exact arithmetic. scaled = (D, p) is
+    the rates' integer form, built once: rho(a) = p[a]/D and p[0] = 1, with
+    D the lcm of the rate denominators (1.0 for float rates).
     """
 
     def __init__(self, mode, rho):
@@ -72,11 +75,13 @@ class RateSpec:
         for k, v in rho.items():
             if not v > 0:
                 raise ValueError(f"rate of link {k} must be strictly positive")
-        if mode == "discrete":
-            total = sum(rho[a] for a in range(1, n + 1))
-            limit = 1 if self.exact else 1 + 1e-12
-            if total > limit:
-                raise ValueError("discrete rates must sum to at most 1")
+        p = [rho[a] for a in range(1, n + 1)]
+        D = math.lcm(*(v.denominator for v in p)) if self.exact else 1.0
+        p = [v.numerator * (D // v.denominator) for v in p] if self.exact else p
+        *_, total = accumulate(p)  # in link order, as rho_sum adds
+        if mode == "discrete" and total > (D if self.exact else 1 + 1e-12):
+            raise ValueError("discrete rates must sum to at most 1")
+        self.scaled = D, (1, *p)
         self.mode = mode
         self.n = n
         self._rho = rho
@@ -362,44 +367,38 @@ def _state_program(n, mask):
     return _compile(n, keys, [(1, n, mask)])
 
 
-def _scaled_rates(rates):
-    """D and p with rho(a) = p[a]/D: D is the lcm of the rate denominators
-    in exact mode, so every p[a] is an int, and 1.0 in float mode. p[0] = 1."""
-    rho = [rates.rho(a) for a in range(1, rates.n + 1)]
-    if not rates.exact:
-        return 1.0, [1] + rho
-    D = math.lcm(*(Fraction(r).denominator for r in rho))
-    return D, [1] + [int(r * D) for r in rho]
+def _scaled_stay(rates):
+    """stay(lo, hi) = D - (p[lo] + ... + p[hi]) in the rates' integer form,
+    clamped at 0 against a negative float rounding residue. It adds in link
+    order, not by the built-in sum, which compensates floats from 3.12 on."""
+    D, p = rates.scaled
+    sums = [None] + [[0, *accumulate(p[lo:])] for lo in range(1, len(p) + 1)]
+    return lambda lo, hi: max(D - sums[lo][hi - lo + 1], 0)
 
 
 def _run(prog, rates, t):
     """The probabilities of a program's outputs at step t.
 
-    With rho(a) = p(a)/D (see _scaled_rates), a state over k links carries
-    F = D^((k+1)u) f: F(0) = 0, F(u) = D^k (D - P_I) F(u-1) + sum over its
-    breaks a of D^k p(a) F'(u-1) F''(u-1), P_I the sum of p over the
-    interval, and an intact one (D - P_I)^u. Exact mode runs on ints up to
-    one Fraction per answer. All states advance together: memory is
-    O(states) whatever t. Breaks add in ascending link order, the last
-    inside the update, as the floats always did (0 + x is x for x >= 0),
-    so they keep their bits.
+    With the rates' integer form rho(a) = p(a)/D (RateSpec.scaled), a state
+    over k links carries F = D^((k+1)u) f: F(0) = 0, F(u) = D^k (D - P_I)
+    F(u-1) + sum over its breaks a of D^k p(a) F'(u-1) F''(u-1), P_I the
+    sum of p over the interval, and an intact one (D - P_I)^u. Exact mode
+    runs on ints up to one Fraction per answer; float mode has D^k = 1.0.
+    All states advance together: memory is O(states) whatever t. Breaks
+    add in ascending link order, the last inside the update, as the floats
+    always did (0 + x is x for x >= 0), so they keep their bits.
     """
     intervals, iv, ks, earlier, last, outs = prog
-    D, p = _scaled_rates(rates)
-    # D - P_I, clamped at 0 against a negative float rounding residue
-    stays = [max(D - sum(p[lo:hi + 1]), 0) for lo, hi in intervals]
-    # a state over k links reads D^k p(a) at link a, and D^k at 0
-    coefs = {k: [D ** k * q for q in p] for k in set(ks)}
-    rows = [coefs[k] for k in ks]
+    D, p = rates.scaled
+    stay = _scaled_stay(rates)
+    stays = [stay(lo, hi) for lo, hi in intervals]
+    # a state over k links reads D^k p(a) at each break a, and lam = D^k (D - P_I)
+    Dk = [D ** k for k in range(max(ks) + 1)]
     inner = len(last[0])
-    lam = [rows[i][0] * stays[iv[i]] for i in range(inner)]
+    lam = [Dk[ks[i]] * stays[iv[i]] for i in range(inner)]
     intact = [stays[iv[i]] for i in range(inner, len(ks))]
-
-    def rates_at(links):
-        return [row[a] for row, a in zip(rows, links)]
-
-    ranks = [(rates_at(links), ls, rs) for links, ls, rs in earlier]
-    last_c, last_l, last_r = rates_at(last[0]), last[1], last[2]
+    *ranks, (last_c, last_l, last_r) = [([Dk[k] * p[a] for k, a in zip(ks, links)], ls, rs)
+                                        for links, ls, rs in [*earlier, last]]
     zeros = [0] * inner
     f = zeros + [s ** 0 for s in intact]
     for u in range(1, t + 1):
@@ -421,11 +420,9 @@ def _tree_prob(tree, rates, t):
     whole when there is none. F is scaled as in _run. Every state here has
     one break, so a postorder scan runs each vertex over all t steps; a
     child's list is dropped once its parent has read it."""
-    D, p = _scaled_rates(rates)
+    D, p = rates.scaled
+    stay = _scaled_stay(rates)
     F = {}
-
-    def stay(lo, hi):
-        return max(D - sum(p[lo:hi + 1]), 0)
 
     def side(child, lo, hi):
         if child is None:

@@ -18,6 +18,7 @@ slot program per (tree, rates). tests/test_simulate.py pins the streams.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -90,32 +91,30 @@ def _prefix_sums(rates):
 
 
 def _discrete_run(cums, n, steps, rand):
-    """Per step, each nonempty fragment draws one uniform u and breaks the
-    first alpha with u < cum(alpha), found by bisect_right, or survives.
-    Returns the broken links ascending, times[a] (its step, math.inf if
-    intact; the ends 0 and n + 1 break first) and each one's matched-tree
-    parent: its fragment's later-broken bound (never tied), None for ends."""
-    times = [-1] + [INF] * n + [-2]
-    parent = {}
-    bounds = [n + 1]  # the removed links, then the right end
+    """Per step, each nonempty fragment lo..hi, left to right, draws one
+    uniform u and breaks the first alpha with u < cum(alpha), found by
+    bisect_right, or survives. A fragment remembers the link whose break
+    made it (None for the whole chain), the matched-tree parent of its
+    first break. Returns the breaks as (link, parent, step), by link."""
+    frags = [(1, n, None)]
+    breaks = []
     for step in range(1, steps + 1):
-        hits = []
-        lo = 1
-        for r in bounds:  # the fragment lo..r-1
-            if r > lo:
-                k = bisect_right(cums[lo], rand(), 0, r - lo)
-                if k < r - lo:
-                    hits.append(lo + k)
-                    # the later-broken bound is 0 only when both are ends
-                    parent[lo + k] = (lo - 1 if times[lo - 1] > times[r] else r) or None
-            lo = r + 1
-        if hits:
-            for a in hits:
-                times[a] = step
-            bounds = sorted(bounds + hits)
-            if len(bounds) > n:
-                break
-    return bounds[:-1], times, parent
+        split = []
+        for frag in frags:
+            lo, hi, up = frag
+            a = lo + bisect_right(cums[lo], rand(), 0, hi - lo + 1)
+            if a > hi:
+                split.append(frag)
+                continue
+            breaks.append((a, up, step))
+            if a > lo:
+                split.append((lo, a - 1, a))
+            if a < hi:
+                split.append((a + 1, hi, a))
+        frags = split
+        if not frags:
+            break
+    return sorted(breaks)
 
 
 def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
@@ -123,9 +122,10 @@ def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
     if rates.mode != "discrete":
         raise ValueError("simulate_discrete needs discrete rates")
     rand = substream(seed, index).random
-    _, times, _ = _discrete_run(_prefix_sums(rates), rates.n, int(t_max), rand)
-    return Trajectory("discrete", rates.n, int(t_max),
-                      dict(zip(range(1, rates.n + 1), times[1:-1])))
+    times = dict.fromkeys(range(1, rates.n + 1), INF)
+    for a, _, step in _discrete_run(_prefix_sums(rates), rates.n, int(t_max), rand):
+        times[a] = step
+    return Trajectory("discrete", rates.n, int(t_max), times)
 
 
 def _continuous_run(rho, t_max, rand):
@@ -196,19 +196,20 @@ _interned = functools.lru_cache(maxsize=4096)(lambda key: key)
 
 
 def _runs(rates, t, samples, seed):
-    """(state at t, removal times, parents or None) of the trajectories
-    i < samples of substream (seed, i): the discrete kernel's parents."""
+    """The matched tree's (vertex, parent) pairs, by vertex, at time t of
+    each trajectory i < samples of substream (seed, i)."""
     ratesf = rates.as_float()
     horizon = _within(t, int(t) if rates.mode == "discrete" else float(t))
     if rates.mode == "discrete":
         cums = _prefix_sums(ratesf)
         for rand in _streams(seed, samples):
-            yield _discrete_run(cums, rates.n, horizon, rand)
+            yield tuple([(a, p) for a, p, _ in _discrete_run(cums, rates.n, horizon, rand)])
         return
     rho = [ratesf.rho(a) for a in range(1, rates.n + 1)]
     for rand in _streams(seed, samples):
         tau = _continuous_run(rho, horizon, rand)
-        yield [a for a, x in tau.items() if x <= t], tau, None
+        state = [a for a, x in tau.items() if x <= t]
+        yield tuple(zip(state, _tree_parents(tau, state)))
 
 
 def _estimate(hits, samples):
@@ -221,34 +222,30 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
 
     Returns (estimate, stderr) with the binomial standard error
     sqrt(p(1-p)/N). Trajectory index i uses substream (seed, i). A
-    trajectory matches when its state is the tree's vertex set and no vertex
-    broke after one of its children, which is matches_tree.
+    trajectory matches when the tree it matches, keyed as in
+    batch_tree_counts, is this one, which is matches_tree.
     """
     _check_sampling(samples)
-    target = list(tree.G)
-    edges = [(tree.parent[c], c) for c in tree.edges]
-    return _estimate(sum(1 for state, tau, _ in _runs(rates, t, samples, seed)
-                         if state == target and all(tau[p] <= tau[c] for p, c in edges)),
-                     samples)
+    if tree.n != rates.n:
+        raise ValueError("tree and rates disagree on n")
+    hits = batch_tree_counts(rates, t, samples, seed).get(tree.structure_key(), 0)
+    return _estimate(hits, samples)
 
 
 def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
     _check_sampling(samples)
-    target = sorted(set(G))
-    return _estimate(sum(1 for state, _, _ in _runs(rates, t, samples, seed)
-                         if state == target), samples)
+    counts = batch_tree_counts(rates, t, samples, seed)
+    return _estimate(sum(c for (_, pairs), c in counts.items()
+                         if {a for a, _ in pairs} == set(G)), samples)
 
 
 def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     """Classify a whole batch: counts keyed by the matched tree's
-    structure_key(). One batch covers every (state, tree) pair at once."""
-    counts = {}
-    for state, tau, parent in _runs(rates, t, samples, seed):
-        key = (rates.n, tuple([(a, parent[a]) for a in state]) if parent is not None
-               else tuple(zip(state, _tree_parents(tau, state))))
-        counts[key] = counts.get(key, 0) + 1
-    return {_interned(key): c for key, c in counts.items()}
+    structure_key(), in order of first match. One batch covers every
+    (state, tree) pair at once."""
+    counts = collections.Counter(_runs(rates, t, samples, seed))
+    return {_interned((rates.n, pairs)): c for pairs, c in counts.items()}
 
 
 def _check_sampling(samples):

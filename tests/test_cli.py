@@ -612,3 +612,32 @@ def test_trees_rejects_links_below_1(links, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --links must be at least 1\n"
+
+
+@pytest.mark.parametrize("option", [["--exact"], ["--method", "direct"],
+                                    ["--method", "expanded"]],
+                         ids=["exact", "direct", "expanded"])
+def test_discrete_options_with_continuous_rates_exit_2(option, crates_file, tmp_path,
+                                                       capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"links": [1, 3], "root": 2, "edges": []}))
+    for args in (["dist", "--subset", "2"], ["dist"], ["treeprob", "--tree", str(tree)]):
+        assert run(args + ["--rates", crates_file, "--time", "0.7"] + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("error:") for line in lines)
+
+
+@pytest.mark.parametrize("args", [
+    ["trees", "--links", "4", "--subset", "1,3"],
+    ["dist", "--time", "2", "--method", "direct"],
+    ["dist", "--time", "2"],
+], ids=["trees", "dist direct", "dist auto"])
+def test_negative_budget_exits_2(args, rates_file, capsys):
+    if args[0] == "dist":
+        args = args + ["--rates", rates_file]
+    assert run(args + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

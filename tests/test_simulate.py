@@ -121,6 +121,12 @@ def test_estimate_tree_prob_agrees(rates5):
     assert abs(est - p_exact) < 4 * se
 
 
+def test_estimate_tree_prob_rejects_a_tree_of_another_n(rates5, crates4):
+    for rates in (rates5, crates4):
+        with pytest.raises(ValueError, match="disagree on n"):
+            estimate_tree_prob(FragTree(3, 2), rates, 1, 10)
+
+
 def test_estimate_tree_prob_continuous(crates4):
     tree = FragTree(4, 2, {}, {2: 3})
     t = 1.0

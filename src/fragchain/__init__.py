@@ -9,8 +9,8 @@ import importlib
 
 #: submodule -> the public names it defines
 _EXPORTS = {
-    "errors": "BudgetError ConsistencyError",
-    "fragments": "DEFAULT_BUDGET Fragment FragTree catalan chain_fragments "
+    "errors": "BudgetError ConsistencyError DEFAULT_BUDGET",
+    "fragments": "Fragment FragTree catalan chain_fragments "
                  "enumerate_fragmentation_trees fragment_family fragments_of",
     "poset": "MobiusValue covers_below down_set hasse_edges interval leq_p "
              "mobius mobius_inversion_check mobius_recursive "

@@ -14,20 +14,14 @@ else. Trajectory i of a run always uses substream (seed, i), so a seed
 fixes the estimate.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
 import json
-import math
-import random
 import sys
 
-# probabilities, simulate, poset and serialize are imported inside the
-# commands that use them, so a process loads only what its command runs
-from . import fragments
-from . import trees as trees_mod
-from .errors import BudgetError, ConsistencyError
+# every other module is imported inside the commands that use it, so a
+# process loads only what its command runs; verify's suite is in checks
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError
 
 
 def _parse_links(text):
@@ -85,6 +79,11 @@ def _write_out(path, text):
 def cmd_dist(args):
     from . import probabilities as pr, serialize
 
+    if args.oracle + args.endpoints + (args.method != "auto") > 1:
+        raise ValueError("--oracle, --endpoints and --method name different "
+                         "routes; give at most one")
+    if args.endpoints and args.subset is None:
+        raise ValueError("--endpoints needs --subset")
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
     if rates.mode == "continuous" and (args.exact or args.method != "auto"):
         raise ValueError("--exact and --method need discrete rates")
@@ -121,12 +120,13 @@ def cmd_dist(args):
 
 def cmd_treeprob(args):
     from . import probabilities as pr, serialize
+    from .fragments import FragTree
 
     rates = serialize.rates_from_dict(args.rates, exact=args.exact)
     if rates.mode == "continuous" and (args.exact or args.method != "auto"):
         raise ValueError("--exact and --method need discrete rates")
     tree = _load_tree_any(args.tree)
-    if not isinstance(tree, fragments.FragTree):
+    if not isinstance(tree, FragTree):
         raise ValueError("treeprob needs a fragmentation tree file")
     t = _parse_time(args.time, rates.mode)
     if rates.mode == "discrete":
@@ -143,8 +143,10 @@ def cmd_treeprob(args):
 def cmd_trees(args):
     if args.links < 1:
         raise ValueError("--links must be at least 1")
+    from .fragments import enumerate_fragmentation_trees
+
     G = _parse_links(args.subset)
-    ts = fragments.enumerate_fragmentation_trees(G, args.links, args.budget)
+    ts = enumerate_fragmentation_trees(G, args.links, args.budget)
     if args.format == "count":
         print(len(ts))
         return 0
@@ -165,7 +167,7 @@ def cmd_trees(args):
 
 
 def cmd_poset(args):
-    from . import poset, serialize
+    from . import poset, serialize, trees
 
     tree = _load_tree_any(args.tree)
     if args.interval is not None:
@@ -185,7 +187,7 @@ def cmd_poset(args):
             tree, highlight_from=highlight, max_edges=args.max_edges))
         return 0
     pairs = poset.hasse_edges(tree, args.max_edges)
-    cuts = trees_mod.enumerate_stump_cut_sets(tree)
+    cuts = trees.enumerate_stump_cut_sets(tree)
     print(f"edges: {tree.n_edges}")
     print(f"elements: {2 ** tree.n_edges}")
     print(f"cover pairs: {len(pairs)}")
@@ -226,8 +228,10 @@ def cmd_simulate(args):
     if (args.tree is None) == (args.subset is None):
         raise ValueError("simulate needs exactly one of --tree or --subset")
     if args.tree is not None:
+        from .fragments import FragTree
+
         tree = _load_tree_any(args.tree)
-        if not isinstance(tree, fragments.FragTree):
+        if not isinstance(tree, FragTree):
             raise ValueError("simulate needs a fragmentation tree file")
         if args.coupled:
             est, se = sim.estimate_tree_prob_coupled(
@@ -257,196 +261,10 @@ def cmd_simulate(args):
 # -- verify -----------------------------------------------------------------------
 
 
-def _group(name, ok, detail):
-    status = "pass" if ok else "FAIL"
-    print(f"{status:4s}  {name:32s} {detail}")
-    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-
-
-def _verify_inputs(args):
-    """Check every option before any group runs. Returns the rates of the
-    --rates file (None without one) and the t-grid."""
-    from . import probabilities as pr, serialize
-
-    rates = None if args.rates is None else serialize.rates_from_dict(args.rates)
-    if rates is not None and rates.mode != "discrete":
-        raise ValueError("verify --rates needs discrete rates")
-    n = args.n if rates is None else rates.n
-    if not 1 <= n <= pr.MATRIX_MAX_N:
-        raise ValueError(f"verify needs n in 1..{pr.MATRIX_MAX_N}, got {n}")
-    tgrid = args.t_grid.split(",")
-    if not all(x.strip().isdecimal() for x in tgrid):
-        raise ValueError(f"--t-grid needs nonnegative integers, got {args.t_grid!r}")
-    if args.shape_edges < 1:
-        raise ValueError(f"--shape-edges must be at least 1, got {args.shape_edges}")
-    if args.inversion_trials < 0:
-        raise ValueError("--inversion-trials must be at least 0, "
-                         f"got {args.inversion_trials}")
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    return rates, [int(x) for x in tgrid]
-
-
 def cmd_verify(args):
-    from . import poset, probabilities as pr, simulate as sim
+    from . import checks
 
-    if args.seed is None:
-        args.seed = sim.DEFAULT_SEED
-    rates, tgrid = _verify_inputs(args)
-    rng = random.Random(args.seed)
-    tol = args.tol
-    groups = []
-
-    # Mobius closed form against the defining recursion, exhaustively
-    shapes = trees_mod.enumerate_tree_shapes(args.shape_edges)
-    checked = 0
-    bad = 0
-    for tr in shapes:
-        k = tr.n_edges
-        for km in range(1 << k):
-            K = [tr.vertices[i + 1] for i in range(k) if km >> i & 1]
-            for hset in poset.down_set(tr, K):
-                v1 = poset.mobius(tr, hset, K).value
-                v2 = poset.mobius_recursive(tr, hset, K)
-                checked += 1
-                if v1 != v2:
-                    bad += 1
-    groups.append(_group("mobius_closed_vs_recursive", bad == 0,
-                         f"{len(shapes)} shapes, {checked} pairs, {bad} mismatches"))
-
-    # Mobius inversion round trip with random integer data, exact
-    bad = 0
-    for trial in range(args.inversion_trials):
-        tr = trees_mod.random_tree(rng.randint(1, args.shape_edges), rng)
-        km = rng.randrange(1 << tr.n_edges)
-        K = [tr.vertices[i + 1] for i in range(tr.n_edges) if km >> i & 1]
-        f = {h: rng.randint(-50, 50) for h in poset.down_set(tr, K)}
-        orig, rec = poset.mobius_inversion_check(tr, f, K)
-        if orig != rec:
-            bad += 1
-    groups.append(_group("mobius_inversion_roundtrip", bad == 0,
-                         f"{args.inversion_trials} trials, {bad} mismatches"))
-
-    # discrete formula against the transition-matrix oracle
-    if rates is None:
-        rates = pr.random_rates(args.n, rng, total=1.0)
-    oracle_rates = rates
-    if args.inject_perturbation:
-        rho = {a: rates.rho(a) for a in range(1, rates.n + 1)}
-        rho[1] = rho[1] * (1 - args.inject_perturbation)
-        oracle_rates = pr.RateSpec("discrete", rho)
-    err = 0.0
-    rerr = 0.0
-    recursion = {t: pr.dist_discrete_all(rates, t) for t in tgrid}
-    for t in tgrid:
-        table = pr.transition_matrix_dist(oracle_rates, t)
-        for G, q in table.items():
-            p = pr.dist_discrete(G, rates, t, method="direct")
-            err = max(err, abs(p - q))
-            rerr = max(rerr, abs(recursion[t][G] - q))
-    groups.append(_group("discrete_formula_vs_matrix", max(err, rerr) <= tol,
-                         f"n={rates.n}, t in {tgrid}, max|err|={err:.3e}, "
-                         f"recursion max|err|={rerr:.3e}"))
-
-    # normalization, discrete
-    err = max(abs(recursion[t].total() - 1.0) for t in tgrid)
-    groups.append(_group("normalization_discrete", err <= tol,
-                         f"max|sum-1|={err:.3e}"))
-
-    # endpoint formula against the tree formula
-    err = 0.0
-    ends = [G for G in ([], [1], [rates.n], [1, rates.n]) if len(set(G)) == len(G)]
-    for t in tgrid:
-        for G in ends:
-            err = max(err, abs(pr.dist_discrete_endpoints(G, rates, t)
-                               - pr.dist_discrete(G, rates, t, method="direct")))
-    groups.append(_group("endpoints_vs_tree_formula", err <= 1e-12,
-                         f"max|err|={err:.3e}"))
-
-    # spectrum: triangularity and eigenvalue diagonal
-    rep = pr.check_transition_spectrum(rates)
-    groups.append(_group("matrix_triangular_eigenvalues",
-                         rep["triangular"] and rep["diagonal_exact"],
-                         f"states={rep['states']}, "
-                         f"max_diag_error={rep['max_diag_error']:.3e}"))
-
-    # continuous: tree sum against the closed form, and normalization
-    crates = pr.random_rates(rates.n, rng, mode="continuous")
-    err = 0.0
-    nerr = 0.0
-    for t in (0.1, 1.0, 5.0):
-        tot = []
-        for gm in range(1 << crates.n):
-            G = [a + 1 for a in range(crates.n) if gm >> a & 1]
-            closed = pr.dist_continuous(G, crates, t)
-            ts = fragments.enumerate_fragmentation_trees(G, crates.n)
-            s = math.fsum(pr.tree_prob_continuous(tr, crates, t) for tr in ts)
-            err = max(err, abs(s - closed))
-            tot.append(closed)
-        nerr = max(nerr, abs(math.fsum(tot) - 1.0))
-    groups.append(_group("continuous_tree_sum_vs_closed", err <= tol,
-                         f"n={crates.n}, max|err|={err:.3e}"))
-    groups.append(_group("normalization_continuous", nerr <= tol,
-                         f"max|sum-1|={nerr:.3e}"))
-
-    # Monte Carlo concordance
-    if args.samples > 0:
-        t = tgrid[len(tgrid) // 2] or 1
-        counts = sim.batch_tree_counts(rates, t, args.samples, args.seed)
-        worst = _mc_concordance(rates, t, counts, args.samples)
-        groups.append(_group("mc_tree_concordance", worst <= 4.0,
-                             f"N={args.samples}, max|z|={worst:.2f}"))
-        worst = _coupling_agreement(rates, t, counts, args.samples, args.seed, rng)
-        groups.append(_group("coupled_vs_direct", worst <= 4.0,
-                             f"N={args.samples}, max|z|={worst:.2f}"))
-    else:
-        for name in ("mc_tree_concordance", "coupled_vs_direct"):
-            print(f"skip  {name:32s} samples=0")
-            groups.append({"name": name, "status": "skip", "detail": "samples=0"})
-
-    ok = all(g["status"] != "fail" for g in groups)
-    report = {"pass": ok, "seed": args.seed, "n": rates.n, "groups": groups}
-    if args.out:
-        _write_out(args.out, json.dumps(report, indent=2) + "\n")
-    print("verify: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
-
-
-def _mc_concordance(rates, t, counts, samples):
-    from . import probabilities as pr
-
-    worst = 0.0
-    for gm in range(1 << rates.n):
-        G = [a + 1 for a in range(rates.n) if gm >> a & 1]
-        for tr in fragments.enumerate_fragmentation_trees(G, rates.n):
-            p = pr.tree_prob_discrete(tr, rates, t)
-            if min(p, 1 - p) < 1e-3:  # too close to 0 or 1 for a z-score
-                continue
-            phat = counts.get(tr.structure_key(), 0) / samples
-            z = abs(phat - p) / math.sqrt(p * (1 - p) / samples)
-            worst = max(worst, z)
-    return worst
-
-
-def _coupling_agreement(rates, t, counts, samples, seed, rng):
-    """z-score of the coupled estimate of one random tree against its direct
-    estimate, read from the batch's counts: the same trajectories that
-    estimate_tree_prob(tree, rates, t, samples, seed) would simulate."""
-    from . import simulate as sim
-
-    worst = 0.0
-    trees_pool = fragments.enumerate_fragmentation_trees(
-        sorted(rng.sample(range(1, rates.n + 1), min(2, rates.n))), rates.n)
-    tree = trees_pool[rng.randrange(len(trees_pool))]
-    p1 = counts.get(tree.structure_key(), 0) / samples
-    se1 = math.sqrt(p1 * (1 - p1) / samples)
-    p2, se2 = sim.estimate_tree_prob_coupled(tree, rates, t, samples, seed + 1)
-    se = math.sqrt(se1 ** 2 + se2 ** 2)
-    if se > 0:
-        worst = abs(p1 - p2) / se
-    return worst
+    return checks.cmd_verify(args, _write_out)
 
 
 # -- parser ------------------------------------------------------------------
@@ -454,8 +272,8 @@ def _coupling_agreement(rates, t, counts, samples, seed, rng):
 METHOD_HELP = ("discrete route: auto (default) is the interval recursion; "
                "direct and expanded are the paper's tree/inclusion-exclusion "
                "formula with that lambda-difference denominator")
-BUDGET_HELP = ("cap on the term count of tree enumeration and the tree-formula "
-               "route; the interval recursion ignores it")
+BUDGET_HELP = ("cap on the term count of tree enumeration and of the formula "
+               "routes --method direct|expanded; it caps no other route")
 
 
 def build_parser():
@@ -476,7 +294,7 @@ def build_parser():
                    help="transition-matrix/generator route instead of the formulas")
     d.add_argument("--method", default="auto",
                    choices=["auto", "direct", "expanded"], help=METHOD_HELP)
-    d.add_argument("--budget", type=int, default=fragments.DEFAULT_BUDGET,
+    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help=BUDGET_HELP)
     d.add_argument("--format", default="csv", choices=["csv", "json"])
     d.add_argument("--out")
@@ -495,7 +313,7 @@ def build_parser():
     tr.add_argument("--links", type=int, required=True)
     tr.add_argument("--subset", required=True)
     tr.add_argument("--format", default="json", choices=["json", "dot", "count"])
-    tr.add_argument("--budget", type=int, default=fragments.DEFAULT_BUDGET,
+    tr.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help=BUDGET_HELP)
     tr.add_argument("--out")
     tr.set_defaults(func=cmd_trees)

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and limits."""
+
+#: default cap on catalan(|G|) * 2^(|G|-1), the term count of a full
+#: distribution evaluation; admits |G| <= 10
+DEFAULT_BUDGET = 10**7
 
 
 class BudgetError(Exception):

@@ -23,17 +23,11 @@ rooted tree's vertex order (root first, depth-first), while G and edges stay
 in ascending link order.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 
-from .errors import BudgetError
+from .errors import DEFAULT_BUDGET, BudgetError
 from .trees import RootedTree
-
-#: default cap on catalan(|G|) * 2^(|G|-1), the term count of a full
-#: distribution evaluation; admits |G| <= 10
-DEFAULT_BUDGET = 10**7
 
 
 @functools.total_ordering

@@ -17,8 +17,6 @@ back as frozensets. Nothing materializes the whole poset except hasse_edges,
 which is bounded.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

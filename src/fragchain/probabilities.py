@@ -36,17 +36,14 @@ the eigenvalues of the one-step transition matrix, which is triangular when
 states are sorted by size.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from array import array
 from itertools import accumulate
 from fractions import Fraction
 
-from .errors import ConsistencyError
-from .fragments import (DEFAULT_BUDGET, Fragment, chain_fragments,
-                        enumerate_fragmentation_trees)
+# fragments is imported where it is used: the interval recursion needs none
+from .errors import DEFAULT_BUDGET, ConsistencyError
 
 MATRIX_MAX_N = 12
 GENERATOR_MAX_N = 10
@@ -147,6 +144,8 @@ def neumaier_sum(terms):
 def lam_interval(rates, removed, lo, hi):
     """lambda^{[lo,hi]}_removed: product over the nonempty fragments J left
     by the sorted removed links of (1 - rho(J))."""
+    from .fragments import chain_fragments
+
     acc = rates.one
     for frag in chain_fragments(lo, hi, removed):
         if not frag.empty:
@@ -165,6 +164,8 @@ def lambda_value(rates, G, interval=None):
     the interval (defaults to the whole chain). Discrete mode only."""
     if rates.mode != "discrete":
         raise ValueError("lambda is a discrete-chain quantity")
+    from .fragments import Fragment
+
     if interval is None:
         lo, hi = 1, rates.n
     elif isinstance(interval, Fragment):
@@ -188,6 +189,8 @@ def lambda_diff(rates, removed, lo, hi, method="auto"):
     nonempty removed sets under valid rates; a nonpositive result raises
     ConsistencyError.
     """
+    from .fragments import chain_fragments
+
     gaps = [rates.rho_sum(f) for f in chain_fragments(lo, hi, removed)
             if not f.empty]
     if method == "auto":
@@ -482,18 +485,26 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
         raise ValueError("tree and rates disagree on n")
     if method == "auto":
         return _tree_prob(tree, rates, t)
-    pow0 = lam_interval(rates, [], 1, n) ** t
+    return _paper_prob(_paper_terms(tree, rates, method), t, rates.exact)
+
+
+def _paper_terms(tree, rates, method):
+    """The paper's formula for one tree but the horizon: the lambdas of the
+    empty state and of each distinct stump, and per cut set H, smallest
+    first, (|H| odd, its stump's index, the product of the waiting weights)."""
+    n = rates.n
+    lams = [lam_interval(rates, [], 1, n)]
     if not tree.G:
-        return pow0
-    lam_pow = {}
+        return lams, []
+    stumps = {}
     denom = {}
-    terms = []
+    cuts = []
     for size, hmask in _edge_submasks_by_size(tree):
         comp = tree.component_masks(hmask)
         stump = comp[tree.root]
-        if stump not in lam_pow:
-            lam_pow[stump] = lam_interval(
-                rates, sorted(tree.mask_vertices(stump)), 1, n) ** t
+        if stump not in stumps:
+            stumps[stump] = len(lams)
+            lams.append(lam_interval(rates, sorted(tree.mask_vertices(stump)), 1, n))
         factor = rates.one
         for a in tree.G:
             key = (a, comp[a])
@@ -502,10 +513,29 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
                     rates, sorted(tree.mask_vertices(comp[a])),
                     tree.lo[a], tree.hi[a], method)
             factor = factor * rates.rho(a) / denom[key]
-        term = (lam_pow[stump] - pow0) * factor
-        terms.append(-term if size & 1 else term)
-    raw = sum(terms) if rates.exact else neumaier_sum(terms)
-    return _clamp_prob(raw, rates.exact)
+        cuts.append((size & 1, stumps[stump], factor))
+    return lams, cuts
+
+
+def _paper_prob(terms, t, exact):
+    """A tree's probability at step t from its _paper_terms: the sum over
+    cut sets of sign * factor * (lambda_stump^t - lambda_empty^t)."""
+    lams, cuts = terms
+    pows = [lam ** t for lam in lams]
+    if not cuts:
+        return pows[0]
+    vals = []
+    for odd, s, factor in cuts:
+        term = (pows[s] - pows[0]) * factor
+        vals.append(-term if odd else term)
+    return _clamp_prob(sum(vals) if exact else neumaier_sum(vals), exact)
+
+
+def _paper_dist(trees_terms, t, exact):
+    """P(state at step t) by the paper's route, from the _paper_terms of
+    each of the state's trees."""
+    vals = [_paper_prob(terms, t, exact) for terms in trees_terms]
+    return sum(vals, Fraction(0)) if exact else math.fsum(vals)
 
 
 def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
@@ -521,11 +551,11 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     _check_method(method)
     if method == "auto":
         return _run(_state_program(rates.n, _state_mask(G, rates.n)), rates, t)[0]
+    from .fragments import enumerate_fragmentation_trees
+
     trees = enumerate_fragmentation_trees(G, rates.n, budget)
-    vals = [tree_prob_discrete(tr, rates, t, method) for tr in trees]
-    if rates.exact:
-        return sum(vals, Fraction(0))
-    return math.fsum(vals)
+    return _paper_dist([_paper_terms(tr, rates, method) for tr in trees], t,
+                       rates.exact)
 
 
 def dist_discrete_endpoints(G, rates, t):
@@ -647,6 +677,8 @@ def transition_rows(rates):
     n = rates.n
     if n > MATRIX_MAX_N:
         raise ValueError(f"transition matrix limited to n <= {MATRIX_MAX_N}")
+    from .fragments import chain_fragments
+
     one = rates.one
     rows = {}
     for state in range(1 << n):

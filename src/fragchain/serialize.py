@@ -11,8 +11,6 @@ Reports:      plain JSON dicts, see simulation_report.
 All text I/O is UTF-8 with LF line endings.
 """
 
-from __future__ import annotations
-
 import json
 import os
 from fractions import Fraction

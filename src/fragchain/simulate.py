@@ -16,16 +16,12 @@ come from small bounded caches: running sums of rho per rates object, the
 slot program per (tree, rates). tests/test_simulate.py pins the streams.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import itertools
 import math
 import random
 from bisect import bisect_right
-
-from .fragments import FragTree
 
 #: documented default seed for every CLI entry point and helper
 DEFAULT_SEED = 1729
@@ -183,6 +179,8 @@ def _tree_parents(tau, state):
 
 def classify_tree(traj, t):
     """The unique fragmentation tree the trajectory matches at time t."""
+    from .fragments import FragTree
+
     state = sorted(traj.removed_at(t))
     pairs = list(zip(state, _tree_parents(traj.removal_time, state)))
     root = next((a for a, p in pairs if p is None), None)

@@ -17,8 +17,6 @@ Internally subsets of vertices are bitmasks over a fixed vertex order
 (root first, then depth-first), so all set operations are int arithmetic.
 """
 
-from __future__ import annotations
-
 from functools import cached_property, lru_cache
 
 

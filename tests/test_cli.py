@@ -641,3 +641,100 @@ def test_negative_budget_exits_2(args, rates_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--oracle", "--method", "direct", "--subset", "1"],
+    ["--oracle", "--method", "expanded"],
+    ["--endpoints", "--method", "expanded", "--subset", "1"],
+    ["--endpoints"],
+    ["--endpoints", "--oracle", "--subset", "1"],
+], ids=["oracle direct", "oracle expanded", "endpoints expanded",
+        "endpoints without subset", "endpoints oracle"])
+def test_dist_rejects_options_of_another_route(args, rates_file, capsys):
+    assert run(["dist", "--rates", rates_file, "--time", "2"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def _loaded_by_entry_point(argv, cwd):
+    """Exit code of `python -m fragchain.cli ARGV` in a fresh interpreter,
+    and the modules it loads from the package import on, as its -v log
+    names them. Modules that start-up loads before, which vary with the
+    site, are left out."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-v", "-m", "fragchain.cli"] + argv,
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+    names = [line.split("'")[1] for line in proc.stderr.splitlines()
+             if line.startswith("import '")]
+    return proc.returncode, names[names.index("fragchain"):]
+
+
+def test_entry_point_loads_only_what_each_command_runs(rates_file, tree_file,
+                                                       rooted_file, tmp_path):
+    # one fresh interpreter per command of the benchmark's cli session
+    commands = {
+        "dist subset": ["dist", "--rates", rates_file, "--time", "4", "--subset", "2,4"],
+        "dist table": ["dist", "--rates", rates_file, "--time", "4", "--format", "json"],
+        "treeprob": ["treeprob", "--rates", rates_file, "--tree", tree_file, "--time", "4"],
+        "trees": ["trees", "--links", "8", "--subset", "1,3,5,6,8", "--format", "count"],
+        "poset": ["poset", "--tree", rooted_file],
+        "mobius": ["mobius", "--tree", rooted_file, "--from", "3,4", "--to", ""],
+        "simulate": ["simulate", "--rates", rates_file, "--time", "2", "--subset", "3",
+                     "--samples", "2000", "--seed", "11"],
+        "verify": ["verify", "--n", "4", "--samples", "2000"],
+    }
+    for name, argv in commands.items():
+        code, loaded = _loaded_by_entry_point(argv, tmp_path)
+        assert code == 0, name
+        # the entry point runs as __main__; nothing imports it a second time
+        assert "fragchain.cli" not in loaded, name
+        assert ("fragchain.checks" in loaded) == (name == "verify"), name
+        if name in ("dist subset", "dist table", "simulate"):
+            assert not {"fragchain.fragments", "fragchain.trees"} & set(loaded), name
+        if name in ("poset", "mobius"):
+            assert "fragchain.fragments" not in loaded, name
+        if name not in ("simulate", "verify"):
+            assert "random" not in loaded, name
+
+
+VERIFY_N5_NO_SAMPLES_STDOUT = """\
+pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
+pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
+pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=3.476e-16, recursion max|err|=8.327e-17
+pass  normalization_discrete           max|sum-1|=1.110e-16
+pass  endpoints_vs_tree_formula        max|err|=1.665e-16
+pass  matrix_triangular_eigenvalues    states=32, max_diag_error=0.000e+00
+pass  continuous_tree_sum_vs_closed    n=5, max|err|=3.053e-16
+pass  normalization_continuous         max|sum-1|=1.110e-16
+skip  mc_tree_concordance              samples=0
+skip  coupled_vs_direct                samples=0
+verify: PASS
+"""
+
+VERIFY_N6_NO_SAMPLES_STDOUT = """\
+pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
+pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
+pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=1.866e-15, recursion max|err|=2.776e-17
+pass  normalization_discrete           max|sum-1|=1.110e-16
+pass  endpoints_vs_tree_formula        max|err|=1.110e-16
+pass  matrix_triangular_eigenvalues    states=64, max_diag_error=0.000e+00
+pass  continuous_tree_sum_vs_closed    n=6, max|err|=3.664e-15
+pass  normalization_continuous         max|sum-1|=2.220e-16
+skip  mc_tree_concordance              samples=0
+skip  coupled_vs_direct                samples=0
+verify: PASS
+"""
+
+
+@pytest.mark.parametrize("n, want", [("5", VERIFY_N5_NO_SAMPLES_STDOUT),
+                                     ("6", VERIFY_N6_NO_SAMPLES_STDOUT)],
+                         ids=["n5", "n6"])
+def test_verify_golden_stdout_without_samples(n, want, capsys):
+    # pins the direct route's digits at the sizes where it sums most trees
+    assert run(["verify", "--n", n, "--samples", "0"]) == 0
+    assert capsys.readouterr().out == want

@@ -650,3 +650,23 @@ def test_continuous_small_rate_relative_error():
     want = _one_minus_exp(x1) * (1 - _one_minus_exp(x2))
     for p in (dist_continuous([1], r, t), tree_prob_continuous(FragTree(2, 1), r, t)):
         assert abs(Fraction(p) - want) <= Fraction(1, 10**14) * want
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("method", ["direct", "expanded"])
+def test_shared_horizon_terms_equal_dist_discrete(method, exact, rng):
+    # the paper's terms of each tree, built once and evaluated at every
+    # horizon as verify does, give dist_discrete to the bit, and the sum of
+    # the per-tree probabilities that dist_discrete once took
+    grid = (0, 1, 2, 5, 10, 20)
+    for n in range(1, 6):
+        r = random_rates(n, rng, total=1 if n % 2 else 0.9, exact=exact)
+        for G in _subsets(n):
+            trees = enumerate_fragmentation_trees(G, n)
+            terms = [probabilities._paper_terms(tr, r, method) for tr in trees]
+            for t in grid:
+                shared = probabilities._paper_dist(terms, t, r.exact)
+                assert type(shared) is (Fraction if exact else float)
+                assert shared == dist_discrete(G, r, t, method=method)
+                vals = [tree_prob_discrete(tr, r, t, method) for tr in trees]
+                assert shared == (sum(vals, Fraction(0)) if exact else math.fsum(vals))

@@ -1,19 +1,87 @@
-"""The invariant suite that `fragchain verify` runs. What does not depend
-on the horizon is built once: every state's fragmentation trees, for all
-groups, and per state the paper's terms of its trees, for every step.
+"""The invariant suite that `fragchain verify` runs. Each group builds what
+it reads: a group enumerates a state's trees when it reaches the state, and
+builds their paper's terms once for every step. The groups that the
+acceptance tests share are functions that return the numbers judged.
 """
 
 import json
 import math
 import random
+import time
 
 from . import fragments, poset, probabilities as pr, simulate as sim, trees
 
 
-def _group(name, ok, detail):
-    status = "pass" if ok else "FAIL"
-    print(f"{status:4s}  {name:32s} {detail}")
-    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+def mobius_closed_vs_recursive(max_edges):
+    """The Mobius closed form against the recursion on every pair H <= K of
+    every shape with at most max_edges edges: (shapes, pairs, mismatches)."""
+    shapes = trees.enumerate_tree_shapes(max_edges)
+    pairs = bad = 0
+    for tr in shapes:
+        k = tr.n_edges
+        for km in range(1 << k):
+            K = [tr.vertices[i + 1] for i in range(k) if km >> i & 1]
+            for H in poset.down_set(tr, K):
+                pairs += 1
+                bad += poset.mobius(tr, H, K).value != poset.mobius_recursive(tr, H, K)
+    return len(shapes), pairs, bad
+
+
+def mobius_inversion_roundtrip(rng, trials, max_edges):
+    """Mobius inversion of random integer data below a random edge set of a
+    random tree with 1..max_edges edges, exactly. Returns the mismatches."""
+    bad = 0
+    for _ in range(trials):
+        tr = trees.random_tree(rng.randint(1, max_edges), rng)
+        km = rng.randrange(1 << tr.n_edges)
+        K = [tr.vertices[i + 1] for i in range(tr.n_edges) if km >> i & 1]
+        f = {h: rng.randint(-50, 50) for h in poset.down_set(tr, K)}
+        orig, rec = poset.mobius_inversion_check(tr, f, K)
+        bad += orig != rec
+    return bad
+
+
+def continuous_tree_sum_vs_closed(crates, horizons):
+    """Per horizon and state, the tree probabilities' sum against the closed form.
+    Returns (max tree-sum error, max |sum-1| of the closed forms)."""
+    err = 0.0
+    totals = {t: [] for t in horizons}
+    for G in pr._state_keys(crates.n):
+        ts = fragments.enumerate_fragmentation_trees(G, crates.n)
+        for t in horizons:
+            closed = pr.dist_continuous(G, crates, t)
+            s = math.fsum(pr.tree_prob_continuous(tr, crates, t) for tr in ts)
+            err = max(err, abs(s - closed))
+            totals[t].append(closed)
+    return err, max(abs(math.fsum(tot) - 1.0) for tot in totals.values())
+
+
+def tree_concordance(rates, t, counts, samples):
+    """z-scores of batch_tree_counts(rates, t, samples, seed) against every tree
+    probability of rates.mode. Returns (trees judged, max |z|, likeliest tree)."""
+    prob = pr.tree_prob_discrete if rates.mode == "discrete" else pr.tree_prob_continuous
+    judged, worst, best, pbest = 0, 0.0, None, 0
+    for G in pr._state_keys(rates.n):
+        for tr in fragments.enumerate_fragmentation_trees(G, rates.n):
+            p = prob(tr, rates, t)
+            if min(p, 1 - p) < 1e-3:  # too close to 0 or 1 for a z-score
+                continue
+            judged += 1
+            phat = counts.get(tr.structure_key(), 0) / samples
+            worst = max(worst, abs(phat - p) / math.sqrt(p * (1 - p) / samples))
+            if p > pbest:
+                best, pbest = tr, p
+    return judged, worst, best
+
+
+def coupled_vs_direct(tree, rates, t, counts, samples, seed):
+    """|z| of the tree's coupled estimate from seed + 1 against its direct one, read
+    from batch_tree_counts(rates, t, samples, seed) as estimate_tree_prob would.
+    With no spread the two agree only when they are equal."""
+    p1, se1 = sim._estimate(counts.get(tree.structure_key(), 0), samples)
+    p2, se2 = sim.estimate_tree_prob_coupled(tree, rates, t, samples, seed + 1)
+    se = math.sqrt(se1 ** 2 + se2 ** 2)
+    return abs(p1 - p2) / se if se > 0 else (0.0 if p1 == p2 else math.inf)
 
 
 def _verify_inputs(args):
@@ -51,36 +119,21 @@ def cmd_verify(args, write_out):
     rng = random.Random(args.seed)
     tol = args.tol
     groups = []
+    clock = [time.perf_counter()]
 
-    # Mobius closed form against the defining recursion, exhaustively
-    shapes = trees.enumerate_tree_shapes(args.shape_edges)
-    checked = 0
-    bad = 0
-    for tr in shapes:
-        k = tr.n_edges
-        for km in range(1 << k):
-            K = [tr.vertices[i + 1] for i in range(k) if km >> i & 1]
-            for hset in poset.down_set(tr, K):
-                v1 = poset.mobius(tr, hset, K).value
-                v2 = poset.mobius_recursive(tr, hset, K)
-                checked += 1
-                if v1 != v2:
-                    bad += 1
-    groups.append(_group("mobius_closed_vs_recursive", bad == 0,
-                         f"{len(shapes)} shapes, {checked} pairs, {bad} mismatches"))
+    def group(name, ok, detail):  # seconds since the line before
+        status = "pass" if ok else "FAIL"
+        print(f"{status:4s}  {name:32s} {detail}")
+        clock.append(time.perf_counter())
+        groups.append({"name": name, "status": status.lower(), "detail": detail,
+                       "seconds": round(clock[-1] - clock[-2], 6)})
 
-    # Mobius inversion round trip with random integer data, exact
-    bad = 0
-    for trial in range(args.inversion_trials):
-        tr = trees.random_tree(rng.randint(1, args.shape_edges), rng)
-        km = rng.randrange(1 << tr.n_edges)
-        K = [tr.vertices[i + 1] for i in range(tr.n_edges) if km >> i & 1]
-        f = {h: rng.randint(-50, 50) for h in poset.down_set(tr, K)}
-        orig, rec = poset.mobius_inversion_check(tr, f, K)
-        if orig != rec:
-            bad += 1
-    groups.append(_group("mobius_inversion_roundtrip", bad == 0,
-                         f"{args.inversion_trials} trials, {bad} mismatches"))
+    shapes, pairs, bad = mobius_closed_vs_recursive(args.shape_edges)
+    group("mobius_closed_vs_recursive", bad == 0,
+          f"{shapes} shapes, {pairs} pairs, {bad} mismatches")
+    bad = mobius_inversion_roundtrip(rng, args.inversion_trials, args.shape_edges)
+    group("mobius_inversion_roundtrip", bad == 0,
+          f"{args.inversion_trials} trials, {bad} mismatches")
 
     # discrete formula against the transition-matrix oracle, state by state
     if rates is None:
@@ -90,27 +143,24 @@ def cmd_verify(args, write_out):
         rho = {a: rates.rho(a) for a in range(1, rates.n + 1)}
         rho[1] = rho[1] * (1 - args.inject_perturbation)
         oracle_rates = pr.RateSpec("discrete", rho)
-    state_trees = {G: fragments.enumerate_fragmentation_trees(G, rates.n)
-                   for G in pr._state_keys(rates.n)}
     err = rerr = 0.0
     recursion = {t: pr.dist_discrete_all(rates, t) for t in tgrid}
     tables = {t: pr.transition_matrix_dist(oracle_rates, t) for t in tgrid}
     direct = {}
-    for G, ts in state_trees.items():
-        terms = [pr._paper_terms(tr, rates, "direct") for tr in ts]
+    for G in pr._state_keys(rates.n):
+        terms = [pr._paper_terms(tr, rates, "direct")
+                 for tr in fragments.enumerate_fragmentation_trees(G, rates.n)]
         for t in tgrid:
             q = tables[t][G]
             p = direct[t, G] = pr._paper_dist(terms, t, rates.exact)
             err = max(err, abs(p - q))
             rerr = max(rerr, abs(recursion[t][G] - q))
-    groups.append(_group("discrete_formula_vs_matrix", max(err, rerr) <= tol,
-                         f"n={rates.n}, t in {tgrid}, max|err|={err:.3e}, "
-                         f"recursion max|err|={rerr:.3e}"))
+    group("discrete_formula_vs_matrix", max(err, rerr) <= tol,
+          f"n={rates.n}, t in {tgrid}, max|err|={err:.3e}, "
+          f"recursion max|err|={rerr:.3e}")
 
-    # normalization, discrete
     err = max(abs(recursion[t].total() - 1.0) for t in tgrid)
-    groups.append(_group("normalization_discrete", err <= tol,
-                         f"max|sum-1|={err:.3e}"))
+    group("normalization_discrete", err <= tol, f"max|sum-1|={err:.3e}")
 
     # endpoint formula against the tree formula
     err = 0.0
@@ -119,44 +169,29 @@ def cmd_verify(args, write_out):
         for G in ends:
             err = max(err, abs(pr.dist_discrete_endpoints(G, rates, t)
                                - direct[t, tuple(G)]))
-    groups.append(_group("endpoints_vs_tree_formula", err <= 1e-12,
-                         f"max|err|={err:.3e}"))
+    group("endpoints_vs_tree_formula", err <= 1e-12, f"max|err|={err:.3e}")
 
-    # spectrum: triangularity and eigenvalue diagonal
     rep = pr.check_transition_spectrum(rates)
-    groups.append(_group("matrix_triangular_eigenvalues",
-                         rep["triangular"] and rep["diagonal_exact"],
-                         f"states={rep['states']}, "
-                         f"max_diag_error={rep['max_diag_error']:.3e}"))
+    group("matrix_triangular_eigenvalues", rep["triangular"] and rep["diagonal_exact"],
+          f"states={rep['states']}, max_diag_error={rep['max_diag_error']:.3e}")
 
-    # continuous: tree sum against the closed form, and normalization
     crates = pr.random_rates(rates.n, rng, mode="continuous")
-    err = 0.0
-    nerr = 0.0
-    for t in (0.1, 1.0, 5.0):
-        tot = []
-        for G, ts in state_trees.items():
-            closed = pr.dist_continuous(G, crates, t)
-            s = math.fsum(pr.tree_prob_continuous(tr, crates, t) for tr in ts)
-            err = max(err, abs(s - closed))
-            tot.append(closed)
-        nerr = max(nerr, abs(math.fsum(tot) - 1.0))
-    groups.append(_group("continuous_tree_sum_vs_closed", err <= tol,
-                         f"n={crates.n}, max|err|={err:.3e}"))
-    groups.append(_group("normalization_continuous", nerr <= tol,
-                         f"max|sum-1|={nerr:.3e}"))
+    err, nerr = continuous_tree_sum_vs_closed(crates, (0.1, 1.0, 5.0))
+    group("continuous_tree_sum_vs_closed", err <= tol,
+          f"n={crates.n}, max|err|={err:.3e}")
+    group("normalization_continuous", nerr <= tol, f"max|sum-1|={nerr:.3e}")
 
-    # Monte Carlo concordance
     if args.samples > 0:
         t = tgrid[len(tgrid) // 2] or 1
         counts = sim.batch_tree_counts(rates, t, args.samples, args.seed)
-        worst = _mc_concordance(rates, t, counts, args.samples, state_trees)
-        groups.append(_group("mc_tree_concordance", worst <= 4.0,
-                             f"N={args.samples}, max|z|={worst:.2f}"))
-        worst = _coupling_agreement(rates, t, counts, args.samples, args.seed,
-                                    rng, state_trees)
-        groups.append(_group("coupled_vs_direct", worst <= 4.0,
-                             f"N={args.samples}, max|z|={worst:.2f}"))
+        _, worst, _ = tree_concordance(rates, t, counts, args.samples)
+        group("mc_tree_concordance", worst <= 4.0,
+              f"N={args.samples}, max|z|={worst:.2f}")
+        G = rng.sample(range(1, rates.n + 1), min(2, rates.n))
+        pool = fragments.enumerate_fragmentation_trees(G, rates.n)
+        z = coupled_vs_direct(pool[rng.randrange(len(pool))], rates, t, counts,
+                              args.samples, args.seed)
+        group("coupled_vs_direct", z <= 4.0, f"N={args.samples}, max|z|={z:.2f}")
     else:
         for name in ("mc_tree_concordance", "coupled_vs_direct"):
             print(f"skip  {name:32s} samples=0")
@@ -168,33 +203,3 @@ def cmd_verify(args, write_out):
         write_out(args.out, json.dumps(report, indent=2) + "\n")
     print("verify: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
-
-
-def _mc_concordance(rates, t, counts, samples, state_trees):
-    worst = 0.0
-    for ts in state_trees.values():
-        for tr in ts:
-            p = pr.tree_prob_discrete(tr, rates, t)
-            if min(p, 1 - p) < 1e-3:  # too close to 0 or 1 for a z-score
-                continue
-            phat = counts.get(tr.structure_key(), 0) / samples
-            z = abs(phat - p) / math.sqrt(p * (1 - p) / samples)
-            worst = max(worst, z)
-    return worst
-
-
-def _coupling_agreement(rates, t, counts, samples, seed, rng, state_trees):
-    """z-score of the coupled estimate of one random tree against its direct
-    estimate, read from the batch's counts: the same trajectories that
-    estimate_tree_prob(tree, rates, t, samples, seed) would simulate."""
-    worst = 0.0
-    trees_pool = state_trees[tuple(sorted(rng.sample(range(1, rates.n + 1),
-                                               min(2, rates.n))))]
-    tree = trees_pool[rng.randrange(len(trees_pool))]
-    p1 = counts.get(tree.structure_key(), 0) / samples
-    se1 = math.sqrt(p1 * (1 - p1) / samples)
-    p2, se2 = sim.estimate_tree_prob_coupled(tree, rates, t, samples, seed + 1)
-    se = math.sqrt(se1 ** 2 + se2 ** 2)
-    if se > 0:
-        worst = abs(p1 - p2) / se
-    return worst

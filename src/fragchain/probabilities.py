@@ -58,7 +58,8 @@ class RateSpec:
     rho are exponential rates, strictly positive. Fraction (or int) rates
     switch the discrete formulas into exact arithmetic. scaled = (D, p) is
     the rates' integer form, built once: rho(a) = p[a]/D and p[0] = 1, with
-    D the lcm of the rate denominators (1.0 for float rates).
+    D the lcm of the rate denominators (1.0 for float rates). as_float()
+    builds the float twin once and keeps it, so caches keyed by it hit.
     """
 
     def __init__(self, mode, rho):
@@ -82,6 +83,7 @@ class RateSpec:
         self.mode = mode
         self.n = n
         self._rho = rho
+        self._float = None
 
     def rho(self, alpha):
         return self._rho[alpha]
@@ -100,7 +102,9 @@ class RateSpec:
     def as_float(self):
         if not self.exact and all(isinstance(v, float) for v in self._rho.values()):
             return self
-        return RateSpec(self.mode, {k: float(v) for k, v in self._rho.items()})
+        if self._float is None:
+            self._float = RateSpec(self.mode, {k: float(v) for k, v in self._rho.items()})
+        return self._float
 
     def to_dict(self):
         return {"mode": self.mode, "n": self.n,

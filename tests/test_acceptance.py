@@ -8,23 +8,17 @@ Every randomized check runs from a fixed seed, so a green run stays green.
 import math
 import random
 import time
-from fractions import Fraction
 
-from fragchain import (CUT, DEP, EMPTY, FIRE, IND, FragTree, batch_tree_counts,
-                       catalan, check_transition_spectrum,
-                       coupled_construction, dist_continuous,
-                       dist_continuous_all, dist_discrete, dist_discrete_all,
-                       dist_discrete_endpoints, down_set, enumerate_atoms,
-                       enumerate_fragmentation_trees, enumerate_stump_cut_sets,
-                       enumerate_tree_shapes, estimate_tree_prob,
-                       estimate_tree_prob_coupled, external_slots,
-                       internal_slots, is_stump_cut_set, marginal_internal_law,
-                       minimal_edges, mobius, mobius_inversion_check,
-                       mobius_recursive, random_rates, random_tree, sample_aux,
-                       slot_order, stump_cut_set, stump_set, support_atoms,
-                       transition_matrix_dist, tree_prob_continuous,
-                       tree_prob_discrete)
-from fragchain import aux_consistent
+from fragchain import (CUT, DEP, EMPTY, FIRE, IND, FragTree, aux_consistent,
+                       batch_tree_counts, catalan, check_transition_spectrum,
+                       checks, dist_continuous_all, dist_discrete,
+                       dist_discrete_all, dist_discrete_endpoints,
+                       enumerate_atoms, enumerate_fragmentation_trees,
+                       enumerate_stump_cut_sets, enumerate_tree_shapes,
+                       estimate_tree_prob, external_slots, internal_slots,
+                       is_stump_cut_set, marginal_internal_law, minimal_edges,
+                       random_rates, sample_aux, slot_order, stump_cut_set,
+                       stump_set, support_atoms, transition_matrix_dist)
 
 
 def _line(cid, ok, detail):
@@ -39,37 +33,16 @@ def _all_subsets(n):
 
 def test_c01_mobius_closed_form_equals_recursion():
     start = time.perf_counter()
-    shapes = enumerate_tree_shapes(6)
-    assert len(shapes) >= 50
-    pairs = 0
-    bad = 0
-    for tree in shapes:
-        k = tree.n_edges
-        labels = tree.vertices[1:]
-        for km in range(1 << k):
-            K = [labels[i] for i in range(k) if km >> i & 1]
-            for H in down_set(tree, K):
-                pairs += 1
-                if mobius(tree, H, K).value != mobius_recursive(tree, H, K):
-                    bad += 1
+    shapes, pairs, bad = checks.mobius_closed_vs_recursive(6)
+    assert shapes >= 50
     elapsed = time.perf_counter() - start
     _line("C01", bad == 0 and elapsed < 60,
-          f"{len(shapes)} tree shapes, {pairs} comparable pairs, "
+          f"{shapes} tree shapes, {pairs} comparable pairs, "
           f"{bad} mismatches, {elapsed:.1f}s")
 
 
 def test_c02_mobius_inversion_recovers_f():
-    rng = random.Random(2026081402)
-    bad = 0
-    for _ in range(20):
-        tree = random_tree(rng.randint(1, 6), rng)
-        labels = tree.vertices[1:]
-        km = rng.randrange(1 << tree.n_edges)
-        K = [labels[i] for i in range(tree.n_edges) if km >> i & 1]
-        f = {H: rng.randint(-50, 50) for H in down_set(tree, K)}
-        orig, recovered = mobius_inversion_check(tree, f, K)
-        if orig != recovered:
-            bad += 1
+    bad = checks.mobius_inversion_roundtrip(random.Random(2026081402), 20, 6)
     _line("C02", bad == 0, f"20 random integer functions, {bad} mismatches")
 
 
@@ -111,14 +84,8 @@ def _continuous_configs(seed=2026081404):
 
 
 def test_c04_continuous_tree_sum_matches_closed_form():
-    err = 0.0
-    for n, crates in _continuous_configs():
-        for t in (0.1, 1.0, 5.0):
-            for G in _all_subsets(n):
-                closed = dist_continuous(G, crates, t)
-                trees = enumerate_fragmentation_trees(G, n)
-                s = math.fsum(tree_prob_continuous(tr, crates, t) for tr in trees)
-                err = max(err, abs(s - closed))
+    err = max(checks.continuous_tree_sum_vs_closed(crates, (0.1, 1.0, 5.0))[0]
+              for _, crates in _continuous_configs())
     _line("C04", err <= 1e-10,
           f"n=2..6, t in (0.1, 1, 5): max |tree sum - closed|={err:.2e}")
 
@@ -177,7 +144,7 @@ def test_c08_monte_carlo_matches_tree_probabilities():
     rng = random.Random(2026081408)
     N = 100000
     worst = 0.0
-    checks = 0
+    judged = 0
     batches = 0
     for n in (3, 4):
         for mode, t in (("discrete", 2), ("continuous", 0.8)):
@@ -186,25 +153,15 @@ def test_c08_monte_carlo_matches_tree_probabilities():
             seed = 1729 + batches
             counts = batch_tree_counts(rates, t, N, seed=seed)
             batches += 1
-            best = None
-            for G in _all_subsets(n):
-                for tr in enumerate_fragmentation_trees(G, n):
-                    p = (tree_prob_discrete(tr, rates, t) if mode == "discrete"
-                         else tree_prob_continuous(tr, rates, t))
-                    if p < 1e-3:
-                        continue
-                    checks += 1
-                    phat = counts.get(tr.structure_key(), 0) / N
-                    z = abs(phat - p) / math.sqrt(p * (1 - p) / N)
-                    worst = max(worst, z)
-                    if best is None or p > best[1]:
-                        best = (tr, p)
+            k, z, best = checks.tree_concordance(rates, t, counts, N)
+            judged += k
+            worst = max(worst, z)
             # the batch classification is the direct per-tree estimator
-            est, _ = estimate_tree_prob(best[0], rates, t, N, seed=seed)
-            assert round(est * N) == counts.get(best[0].structure_key(), 0)
+            est, _ = estimate_tree_prob(best, rates, t, N, seed=seed)
+            assert round(est * N) == counts.get(best.structure_key(), 0)
     elapsed = time.perf_counter() - start
     _line("C08", worst <= 4.0 and elapsed < 120,
-          f"{batches} batches of {N}, {checks} tree probabilities >= 1e-3: "
+          f"{batches} batches of {N}, {judged} tree probabilities >= 1e-3: "
           f"max |z|={worst:.2f}, {elapsed:.1f}s")
 
 
@@ -301,11 +258,9 @@ def test_c10_coupled_construction_agrees_with_direct_simulation():
         tree = trees[rng.randrange(len(trees))]
         rates = random_rates(n, rng, total=rng.choice((0.5, 1.0)))
         t = rng.randint(2, 4)
-        p1, se1 = estimate_tree_prob(tree, rates, t, N, seed=13000 + 2 * k)
-        p2, se2 = estimate_tree_prob_coupled(tree, rates, t, N, seed=13001 + 2 * k)
-        se = math.sqrt(se1 ** 2 + se2 ** 2)
-        z = abs(p1 - p2) / se if se > 0 else (0.0 if p1 == p2 else math.inf)
-        worst = max(worst, z)
+        counts = batch_tree_counts(rates, t, N, seed=13000 + 2 * k)
+        worst = max(worst, checks.coupled_vs_direct(tree, rates, t, counts, N,
+                                                    13000 + 2 * k))
     _line("C10", worst <= 4.0,
           f"5 configurations, {N} trajectories per estimator: max |z|={worst:.2f}")
 

@@ -255,6 +255,7 @@ def test_verify_passes(rates_file, tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
     assert len(rep["groups"]) == 10
+    assert all(g["seconds"] >= 0 for g in rep["groups"])  # none is skipped
 
 
 def test_verify_skips_mc_when_no_samples(capsys):
@@ -273,6 +274,12 @@ def test_verify_negative_control(rates_file, capsys):
     out = capsys.readouterr().out
     assert "FAIL  discrete_formula_vs_matrix" in out
     assert "verify: FAIL" in out
+
+
+def test_verify_fails_when_estimates_without_spread_disagree(capsys):
+    # one trajectory: direct estimate 1, coupled 0, both standard errors 0
+    assert run(["verify", "--n", "2", "--samples", "1", "--seed", "2"]) == 1
+    assert "FAIL  coupled_vs_direct" in capsys.readouterr().out
 
 
 def test_usage_errors():

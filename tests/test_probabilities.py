@@ -13,7 +13,7 @@ from fragchain import (ConsistencyError, FragTree, RateSpec,
                        generator_matrix_dist, lambda_diff, lambda_value,
                        random_rates, transition_matrix_dist, transition_rows,
                        tree_prob_continuous, tree_prob_discrete)
-from fragchain import probabilities
+from fragchain import checks, probabilities
 from fragchain.probabilities import lam_interval
 
 from conftest import make_rng
@@ -136,12 +136,8 @@ def test_method_routes_match(rates5):
 
 
 def test_continuous_tree_sum(crates4):
-    for t in (0.1, 1.0, 5.0):
-        for gm in range(16):
-            G = [a + 1 for a in range(4) if gm >> a & 1]
-            ts = enumerate_fragmentation_trees(G, 4)
-            s = math.fsum(tree_prob_continuous(tr, crates4, t) for tr in ts)
-            assert abs(s - dist_continuous(G, crates4, t)) < 1e-12
+    err, _ = checks.continuous_tree_sum_vs_closed(crates4, (0.1, 1.0, 5.0))
+    assert err < 1e-12
 
 
 def test_continuous_vs_generator(crates4):

@@ -12,7 +12,7 @@ from fragchain import (CUT, DEP, EMPTY, FIRE, IND, FragTree, RateSpec,
                        enumerate_fragmentation_trees, estimate_state_prob,
                        estimate_tree_prob, estimate_tree_prob_coupled,
                        external_slots, internal_slots, marginal_internal_law,
-                       matches_tree, sample_aux, simulate_continuous,
+                       matches_tree, sample_aux, simulate, simulate_continuous,
                        simulate_discrete, slot_order, substream, support_atoms,
                        tree_prob_continuous, tree_prob_discrete)
 
@@ -359,6 +359,14 @@ def test_coupled_matches_direct_estimate(rates5):
     p_exact = tree_prob_discrete(tree, rates5, t)
     est, se = estimate_tree_prob_coupled(tree, rates5, t, 20000, seed=SEED)
     assert abs(est - p_exact) < 4 * se
+
+
+def test_exact_rates_keep_their_float_twin(ref_aux_tree, rates5_exact):
+    assert rates5_exact.as_float() is rates5_exact.as_float()
+    simulate._slot_program.cache_clear()  # keyed by the float twin
+    for _ in range(2):
+        estimate_tree_prob_coupled(ref_aux_tree, rates5_exact, 3, 10, seed=SEED)
+    assert simulate._slot_program.cache_info().hits == 1
 
 
 def test_coupled_respects_tree_order(rates5):

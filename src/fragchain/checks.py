@@ -107,6 +107,8 @@ def _verify_inputs(args):
                          f"got {args.inversion_trials}")
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     return rates, [int(x) for x in tgrid]

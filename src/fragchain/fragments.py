@@ -231,21 +231,6 @@ class FragTree(RootedTree):
         """The family S: externals plus the internal intervals I_alpha."""
         return self.externals() + [self.interval(a)[0] for a in self.postorder]
 
-    # -- cut-dependent structure -------------------------------------------
-
-    def component_masks(self, hmask):
-        """For each vertex alpha, the mask of G_alpha(H): the vertices of
-        alpha's component of the tree minus the cut edges, restricted to the
-        subtree of alpha. Computed in one postorder pass."""
-        comp = {}
-        for a in self.postorder:
-            m = 1 << self._bit[a]
-            for c in self.children[a]:
-                if not (hmask >> self._bit[c]) & 1:
-                    m |= comp[c]
-            comp[a] = m
-        return comp
-
 
 def fragment_family(tree, alpha, H):
     """The fragments of I_alpha left by G_alpha(H), left to right.

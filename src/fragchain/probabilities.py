@@ -38,6 +38,7 @@ states are sorted by size.
 
 import functools
 import math
+import sys
 from array import array
 from itertools import accumulate
 from fractions import Fraction
@@ -55,11 +56,13 @@ class RateSpec:
 
     mode "discrete": rho are per-step breaking probabilities, all strictly
     positive with total at most 1 (equality allowed). mode "continuous":
-    rho are exponential rates, strictly positive. Fraction (or int) rates
-    switch the discrete formulas into exact arithmetic. scaled = (D, p) is
-    the rates' integer form, built once: rho(a) = p[a]/D and p[0] = 1, with
-    D the lcm of the rate denominators (1.0 for float rates). as_float()
-    builds the float twin once and keeps it, so caches keyed by it hit.
+    rho are exponential rates, strictly positive. The total must be finite
+    as a float. Fraction (or int) rates switch the discrete formulas into
+    exact arithmetic. scaled = (D, p) is the rates' integer form, built once:
+    rho(a) = p[a]/D and p[0] = 1, with D the lcm of the rate denominators
+    (1.0 for float rates). Every sum over a run of links is read from one
+    table, sums, built on first use. as_float() builds the float twin once
+    and keeps it, so caches keyed by it hit.
     """
 
     def __init__(self, mode, rho):
@@ -76,7 +79,9 @@ class RateSpec:
         p = [rho[a] for a in range(1, n + 1)]
         D = math.lcm(*(v.denominator for v in p)) if self.exact else 1.0
         p = [v.numerator * (D // v.denominator) for v in p] if self.exact else p
-        *_, total = accumulate(p)  # in link order, as rho_sum adds
+        *_, total = accumulate(p)  # in link order, as the run sums add
+        if not (Fraction(total, D) if self.exact else total) <= sys.float_info.max:
+            raise ValueError("rates and their total must be finite as floats")
         if mode == "discrete" and total > (D if self.exact else 1 + 1e-12):
             raise ValueError("discrete rates must sum to at most 1")
         self.scaled = D, (1, *p)
@@ -89,11 +94,35 @@ class RateSpec:
         return self._rho[alpha]
 
     def rho_sum(self, links):
-        """Sum of rates over links, accumulated in ascending link order."""
+        """Sum of rates over any set of links, in ascending link order."""
         s = 0
         for a in sorted(links):
             s += self._rho[a]
         return s
+
+    @functools.cached_property
+    def sums(self):
+        """sums[lo][k] = p[lo] + ... + p[lo + k - 1] in the integer form, for
+        1 <= lo <= n + 1, added in link order (not by the built-in sum, which
+        compensates floats from 3.12 on); sums[lo][0] = 0 is the empty run."""
+        p = self.scaled[1]
+        return [None] + [[0, *accumulate(p[lo:])] for lo in range(1, len(p) + 1)]
+
+    def rho_run(self, lo, hi):
+        """rho(lo..hi) in the rates' own arithmetic; 0 for hi = lo - 1."""
+        s = self.sums[lo][hi - lo + 1]
+        return Fraction(s, self.scaled[0]) if self.exact else s
+
+    def scaled_stay(self, lo, hi):
+        """D - (p[lo] + ... + p[hi]), clamped at 0: float rates summing to 1
+        can leave a negative rounding residue."""
+        D = self.scaled[0]
+        return max(D - self.sums[lo][hi - lo + 1], D * 0)
+
+    def stay(self, lo, hi):
+        """1 - rho(lo..hi), clamped at 0, in the rates' own arithmetic."""
+        s = self.scaled_stay(lo, hi)
+        return Fraction(s, self.scaled[0]) if self.exact else s
 
     @property
     def one(self):
@@ -153,14 +182,8 @@ def lam_interval(rates, removed, lo, hi):
     acc = rates.one
     for frag in chain_fragments(lo, hi, removed):
         if not frag.empty:
-            acc = acc * _stay(rates, frag)
+            acc = acc * rates.stay(frag.lo, frag.hi)
     return acc
-
-
-def _stay(rates, links):
-    """1 - rho(links), clamped at 0: float rates summing to 1 can leave a
-    negative rounding residue."""
-    return max(rates.one - rates.rho_sum(links), rates.one * 0)
 
 
 def lambda_value(rates, G, interval=None):
@@ -195,7 +218,7 @@ def lambda_diff(rates, removed, lo, hi, method="auto"):
     """
     from .fragments import chain_fragments
 
-    gaps = [rates.rho_sum(f) for f in chain_fragments(lo, hi, removed)
+    gaps = [rates.rho_run(f.lo, f.hi) for f in chain_fragments(lo, hi, removed)
             if not f.empty]
     if method == "auto":
         method = "direct" if rates.exact else "expanded"
@@ -203,8 +226,7 @@ def lambda_diff(rates, removed, lo, hi, method="auto"):
         prod = rates.one
         for g in gaps:
             prod = prod * (1 - g)
-        whole = rates.rho_sum(range(lo, hi + 1))
-        val = prod - (1 - whole)
+        val = prod - (1 - rates.rho_run(lo, hi))
     elif method == "expanded":
         # elementary symmetric sums e_k of the gap rates
         coeffs = [rates.one]
@@ -291,9 +313,9 @@ def tree_prob_continuous(tree, rates, t):
     n = rates.n
     if tree.n != n:
         raise ValueError("tree and rates disagree on n")
-    total = rates.rho_sum(range(1, n + 1))
+    total_f = float(rates.rho_run(1, n))
     if not tree.G:
-        return math.exp(-float(total) * t)
+        return math.exp(-total_f * t)
     rho_f = {a: float(rates.rho(a)) for a in tree.G}
     msum_cache = {}
 
@@ -302,7 +324,6 @@ def tree_prob_continuous(tree, rates, t):
             msum_cache[mask] = math.fsum(rho_f[a] for a in tree.mask_vertices(mask))
         return msum_cache[mask]
 
-    total_f = float(total)
     terms = []
     for size, hmask in _edge_submasks_by_size(tree):
         comp = tree.component_masks(hmask)
@@ -374,15 +395,6 @@ def _state_program(n, mask):
     return _compile(n, keys, [(1, n, mask)])
 
 
-def _scaled_stay(rates):
-    """stay(lo, hi) = D - (p[lo] + ... + p[hi]) in the rates' integer form,
-    clamped at 0 against a negative float rounding residue. It adds in link
-    order, not by the built-in sum, which compensates floats from 3.12 on."""
-    D, p = rates.scaled
-    sums = [None] + [[0, *accumulate(p[lo:])] for lo in range(1, len(p) + 1)]
-    return lambda lo, hi: max(D - sums[lo][hi - lo + 1], 0)
-
-
 def _run(prog, rates, t):
     """The probabilities of a program's outputs at step t.
 
@@ -397,8 +409,7 @@ def _run(prog, rates, t):
     """
     intervals, iv, ks, earlier, last, outs = prog
     D, p = rates.scaled
-    stay = _scaled_stay(rates)
-    stays = [stay(lo, hi) for lo, hi in intervals]
+    stays = [rates.scaled_stay(lo, hi) for lo, hi in intervals]
     # a state over k links reads D^k p(a) at each break a, and lam = D^k (D - P_I)
     Dk = [D ** k for k in range(max(ks) + 1)]
     inner = len(last[0])
@@ -428,7 +439,7 @@ def _tree_prob(tree, rates, t):
     one break, so a postorder scan runs each vertex over all t steps; a
     child's list is dropped once its parent has read it."""
     D, p = rates.scaled
-    stay = _scaled_stay(rates)
+    stay = rates.scaled_stay
     F = {}
 
     def side(child, lo, hi):
@@ -690,7 +701,7 @@ def transition_rows(rates):
         for frag in chain_fragments(1, n, _state_links(state)):
             if frag.empty:
                 continue
-            choices = [(0, _stay(rates, frag))]
+            choices = [(0, rates.stay(frag.lo, frag.hi))]
             choices += [(1 << (a - 1), rates.rho(a)) for a in frag]
             acc = [(m | bm, p * bp) for m, p in acc for bm, bp in choices]
         rows[state] = {state | m: p for m, p in acc}

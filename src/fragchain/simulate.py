@@ -1,8 +1,9 @@
 """Monte Carlo side: direct simulation, tree matching, the auxiliary slot
 process, and the coupled construction.
 
-Determinism contract: every sampler takes (seed, index) and derives an
-independent substream as Random((seed << 64) + index), stdlib MT19937. Only
+Determinism contract: every sampler takes (seed, index), seed >= 0 and
+0 <= index < 2^64, and derives an independent substream as
+Random((seed << 64) + index), stdlib MT19937, one per pair. Only
 raw Random.random() uniforms are consumed; all transformations (cumulative
 scan over a fragment's links, inverse-CDF exponentials) are written out
 here, so identical seeds give bit-identical trajectories on any platform.
@@ -11,9 +12,10 @@ hit probability-0 branches, so skipping preserves the law.
 
 Each sampler is one step kernel, shared by its public function and the
 estimators. An estimate reseeds one generator per index with the same key,
-so its streams are unchanged, and converts the rates to floats once. Tables
-come from small bounded caches: running sums of rho per rates object, the
-slot program per (tree, rates). tests/test_simulate.py pins the streams.
+so its streams are unchanged, and converts the rates to floats once. The
+discrete sampler scans the running sums of the float rates' own table
+(RateSpec.sums); the only rate-keyed cache left here is the slot program
+per (tree, rates). tests/test_simulate.py pins the streams.
 """
 
 import collections
@@ -29,20 +31,27 @@ DEFAULT_SEED = 1729
 INF = math.inf
 
 
+def _key(seed, index):
+    """Random's seed for one trajectory. Random seeds with |key|, so a
+    negative seed or an index past 64 bits would replay another's stream."""
+    if seed < 0 or not 0 <= index < 1 << 64:
+        raise ValueError(f"need seed >= 0 and index in 0..2**64-1, got {seed}, {index}")
+    return (int(seed) << 64) + int(index)
+
+
 def substream(seed, index=0):
     """Independent deterministic stream for one trajectory."""
-    if index < 0:
-        raise ValueError("trajectory index must be nonnegative")
-    return random.Random((int(seed) << 64) + int(index))
+    return random.Random(_key(seed, index))
 
 
 def _streams(seed, samples):
     """random() of substream(seed, i) for i < samples, from one generator
     reseeded in C to the state Random(key) builds, until the next is drawn."""
+    keys = range(_key(seed, 0), _key(seed, samples - 1) + 1) if samples else ()
     gen = random.Random()
-    rand, reseed, key = gen.random, super(random.Random, gen).seed, int(seed) << 64
-    for i in range(samples):
-        reseed(key + i)
+    rand, reseed = gen.random, super(random.Random, gen).seed
+    for key in keys:
+        reseed(key)
         yield rand
 
 
@@ -77,28 +86,20 @@ def _within(t, horizon):
     return horizon
 
 
-@functools.lru_cache(maxsize=8)
-def _prefix_sums(rates):
-    """cums[lo][k] = rho(lo) + ... + rho(lo + k) in floats, summed in
-    ascending order as the scan over a fragment lo..hi does."""
-    rho = [float(rates.rho(a)) for a in range(1, rates.n + 1)]
-    return (None,) + tuple(tuple(itertools.accumulate(rho[lo:]))
-                           for lo in range(rates.n))
-
-
-def _discrete_run(cums, n, steps, rand):
+def _discrete_run(sums, n, steps, rand):
     """Per step, each nonempty fragment lo..hi, left to right, draws one
-    uniform u and breaks the first alpha with u < cum(alpha), found by
-    bisect_right, or survives. A fragment remembers the link whose break
-    made it (None for the whole chain), the matched-tree parent of its
-    first break. Returns the breaks as (link, parent, step), by link."""
+    uniform u and breaks the first alpha with u < rho(lo..alpha), found by
+    bisect_right in the float rates' sums[lo], or survives. A fragment
+    remembers the link whose break made it (None for the whole chain), the
+    matched-tree parent of its first break. Returns the breaks as (link,
+    parent, step), by link."""
     frags = [(1, n, None)]
     breaks = []
     for step in range(1, steps + 1):
         split = []
         for frag in frags:
             lo, hi, up = frag
-            a = lo + bisect_right(cums[lo], rand(), 0, hi - lo + 1)
+            a = lo - 1 + bisect_right(sums[lo], rand(), 1, hi - lo + 2)
             if a > hi:
                 split.append(frag)
                 continue
@@ -119,7 +120,7 @@ def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
         raise ValueError("simulate_discrete needs discrete rates")
     rand = substream(seed, index).random
     times = dict.fromkeys(range(1, rates.n + 1), INF)
-    for a, _, step in _discrete_run(_prefix_sums(rates), rates.n, int(t_max), rand):
+    for a, _, step in _discrete_run(rates.as_float().sums, rates.n, int(t_max), rand):
         times[a] = step
     return Trajectory("discrete", rates.n, int(t_max), times)
 
@@ -199,9 +200,9 @@ def _runs(rates, t, samples, seed):
     ratesf = rates.as_float()
     horizon = _within(t, int(t) if rates.mode == "discrete" else float(t))
     if rates.mode == "discrete":
-        cums = _prefix_sums(ratesf)
+        sums = ratesf.sums
         for rand in _streams(seed, samples):
-            yield tuple([(a, p) for a, p, _ in _discrete_run(cums, rates.n, horizon, rand)])
+            yield tuple([(a, p) for a, p, _ in _discrete_run(sums, rates.n, horizon, rand)])
         return
     rho = [ratesf.rho(a) for a in range(1, rates.n + 1)]
     for rand in _streams(seed, samples):
@@ -295,15 +296,14 @@ def _slot_program(tree, rates):
     ext = external_slots(tree)
     keys = tuple(slot_order(tree))
     slot = {k: i for i, k in enumerate(keys)}
-    externals = tuple((slot[k], ratesf.rho_sum(frag))
+    externals = tuple((slot[k], ratesf.rho_run(frag.lo, frag.hi))
                       for k, frag in ext if not frag.empty)
     internals = []
-    for (key, I, Il, Ir) in internal_slots(tree):
-        kl, kr = child_slot_keys(tree, key[1])
-        still = 1 - ratesf.rho_sum(I)
-        lam_a = (1 - ratesf.rho_sum(Il)) * (1 - ratesf.rho_sum(Ir))
-        internals.append((slot[key], slot[kl], slot[kr], lam_a, still,
-                          still + ratesf.rho(key[1])))
+    for a in tree.postorder:
+        kl, kr = child_slot_keys(tree, a)
+        lam_a, law = _internal_law(tree, ratesf, a)
+        internals.append((slot["int", a], slot[kl], slot[kr], lam_a, law[EMPTY],
+                          law[EMPTY] + law[CUT]))
     layout = {a: (slot.get(("int", a)),
                   tuple(c for c in tree.G if tree.parent.get(c) == a),
                   tuple(slot[k] for k, _ in ext if k[1] == a))
@@ -359,27 +359,18 @@ def atom_probability(tree, rates, atom):
     """Probability of one joint slot assignment, multiplying the conditional
     law of each slot given its children (the sampling order)."""
     p = rates.one
-    for key, frag in external_slots(tree):
-        if frag.empty:
-            if atom[key] != EMPTY:
-                return p * 0
-        else:
-            q = rates.rho_sum(frag)
-            p = p * (q if atom[key] == FIRE else 1 - q)
-    for (key, I, Il, Ir) in internal_slots(tree):
-        kl, kr = child_slot_keys(tree, key[1])
+    for key, frag in external_slots(tree):  # an empty run has rho 0 and stay 1
+        law = {EMPTY: rates.stay(frag.lo, frag.hi), FIRE: rates.rho_run(frag.lo, frag.hi)}
+        p = p * law.get(atom[key], 0)
+    for a in tree.postorder:
+        kl, kr = child_slot_keys(tree, a)
+        sym = atom["int", a]
         fired = atom[kl] != EMPTY or atom[kr] != EMPTY
-        if fired != (atom[key] == IND):  # IND exactly when a child slot fired
+        if fired != (sym == IND):  # IND exactly when a child slot fired
             return 0 * p
-        if fired:
-            continue
-        lam_a = (1 - rates.rho_sum(Il)) * (1 - rates.rho_sum(Ir))
-        if atom[key] == EMPTY:
-            p = p * (1 - rates.rho_sum(I)) / lam_a
-        elif atom[key] == CUT:
-            p = p * rates.rho(key[1]) / lam_a
-        else:
-            p = p * rates.rho_sum(Il) * rates.rho_sum(Ir) / lam_a
+        if not fired:
+            lam_a, law = _internal_law(tree, rates, a)
+            p = p * law.get(sym, 0) / lam_a
     return p
 
 
@@ -405,13 +396,20 @@ def aux_consistent(tree, x):
     return True
 
 
+def _internal_law(tree, rates, alpha):
+    """lam_a, the chance that neither side of I_alpha breaks, and the
+    marginal law of alpha's internal slot."""
+    lo, hi = tree.lo[alpha], tree.hi[alpha]
+    lam_a = rates.stay(lo, alpha - 1) * rates.stay(alpha + 1, hi)
+    dep = rates.rho_run(lo, alpha - 1) * rates.rho_run(alpha + 1, hi)
+    return lam_a, {EMPTY: rates.stay(lo, hi), CUT: rates.rho(alpha), DEP: dep,
+                   IND: 1 - lam_a}
+
+
 def marginal_internal_law(tree, rates, alpha):
     """The four-point marginal law of an internal slot:
     (EMPTY, CUT, DEP, IND) probabilities."""
-    _, I, Il, Ir = internal_slots(tree)[tree.postorder.index(alpha)]
-    lam_a = (1 - rates.rho_sum(Il)) * (1 - rates.rho_sum(Ir))
-    return {EMPTY: 1 - rates.rho_sum(I), CUT: rates.rho(alpha),
-            DEP: rates.rho_sum(Il) * rates.rho_sum(Ir), IND: 1 - lam_a}
+    return _internal_law(tree, rates, alpha)[1]
 
 
 # -- coupled construction ----------------------------------------------------

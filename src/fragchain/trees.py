@@ -124,6 +124,18 @@ class RootedTree:
             mask ^= low
         return tuple(out)
 
+    def component_masks(self, hmask):
+        """For each vertex v, the mask of v's component of the tree minus the
+        edges of hmask, restricted to v's subtree, in one children-first pass."""
+        comp = {}
+        for v in reversed(self.vertices):
+            m = 1 << self._bit[v]
+            for c in self.children[v]:
+                if not (hmask >> self._bit[c]) & 1:
+                    m |= comp[c]
+            comp[v] = m
+        return comp
+
     def _strict_edge_ancestors(self, bit):
         # ancestor edges of the edge at this bit, excluding itself and the root
         v = self.vertices[bit]
@@ -166,16 +178,7 @@ def subtree(tree, alpha, H=()):
 
 def component_mask(tree, alpha, hmask):
     """Bitmask of the vertices of subtree(tree, alpha, H), mask arguments."""
-    m = 1 << tree._bit[alpha]
-    stack = [alpha]
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            b = tree._bit[c]
-            if not (hmask >> b) & 1:
-                m |= 1 << b
-                stack.append(c)
-    return m
+    return tree.component_masks(hmask)[alpha]
 
 
 def minimal_edges(tree, H):

@@ -558,6 +558,35 @@ def test_malformed_rates_file_exits_2(content, exact, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rho,args", [
+    ({"1": float("inf"), "2": 0.5}, ["dist", "--time", "0"]),
+    ({"1": 1e308, "2": 1e308}, ["dist", "--time", "1", "--oracle"]),
+    ({"1": 1e308, "2": 1e308}, ["treeprob", "--time", "1"]),
+], ids=["Infinity", "overflowing total, oracle", "overflowing total, treeprob"])
+def test_rates_not_finite_as_floats_exit_2(rho, args, tmp_path, capsys):
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"mode": "continuous", "rho": rho}))
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"links": [1, 2], "root": 1, "edges": [[1, 2]]}))
+    extra = ["--tree", str(tree)] if args[0] == "treeprob" else []
+    assert run(args + ["--rates", str(rates)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_negative_seed_exits_2(rates_file, tree_file, capsys):
+    for args in (["simulate", "--rates", rates_file, "--time", "3", "--samples", "10",
+                  "--tree", tree_file],
+                 ["simulate", "--rates", rates_file, "--time", "3", "--samples", "10",
+                  "--subset", "2"],
+                 ["verify", "--samples", "0"]):
+        assert run(args + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # verify prints no group first
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content", [
     {"links": [1, 4], "root": 2, "edges": [[2, "x"]]},
     {"links": [1, 4], "root": "2", "edges": []},

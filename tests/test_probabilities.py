@@ -35,6 +35,27 @@ def test_ratespec_validation():
     assert not RateSpec("discrete", {1: 0.25, 2: 0.25}).exact
 
 
+@pytest.mark.parametrize("rho", [
+    {1: math.inf, 2: 0.5}, {1: 1e308, 2: 1e308}, {1: Fraction(10**400), 2: 1},
+], ids=["infinite rate", "infinite float total", "exact rate past the float range"])
+def test_ratespec_rejects_rates_not_finite_as_floats(rho):
+    with pytest.raises(ValueError):
+        RateSpec("continuous", rho)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_ratespec_run_sums_and_stays(exact):
+    r = random_rates(6, make_rng(), total=1.0, exact=exact)
+    assert "sums" not in vars(r)  # the table is built on first use
+    for lo in range(1, 8):
+        for hi in range(lo - 1, 7):
+            rho = r.rho_sum(range(lo, hi + 1))
+            assert r.rho_run(lo, hi) == rho
+            assert r.stay(lo, hi) == max(1 - rho, 0)
+            assert r.scaled_stay(lo, hi) == r.stay(lo, hi) * r.scaled[0]
+    assert r.stay(1, 6) >= 0 and type(r.stay(1, 6)) is type(r.one)
+
+
 def test_lambda_reference(rates5):
     # single fragment: 1 - sum of its rates
     assert math.isclose(lambda_value(rates5, []), 1 - 0.6)

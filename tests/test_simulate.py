@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from fragchain import (CUT, DEP, EMPTY, FIRE, IND, FragTree, RateSpec,
                        enumerate_fragmentation_trees, estimate_state_prob,
                        estimate_tree_prob, estimate_tree_prob_coupled,
                        external_slots, internal_slots, marginal_internal_law,
-                       matches_tree, sample_aux, simulate, simulate_continuous,
+                       matches_tree, random_rates, sample_aux, simulate,
+                       simulate_continuous,
                        simulate_discrete, slot_order, substream, support_atoms,
                        tree_prob_continuous, tree_prob_discrete)
 
@@ -293,6 +295,49 @@ def test_internal_marginal_law_normalizes(ref_frag_tree, rates5_exact):
         law = marginal_internal_law(ref_frag_tree, r6, a)
         assert sum(law.values()) == 1
         assert all(v >= 0 for v in law.values())
+
+
+def _slot_law_is_a_law(tree, rates):
+    """Every value of each internal slot's law and every atom probability is
+    nonnegative, and the atoms sum to 1."""
+    for a in tree.G:
+        assert all(v >= 0 for v in marginal_internal_law(tree, rates, a).values())
+    probs = [atom_probability(tree, rates, atom) for atom in enumerate_atoms(tree)]
+    assert all(p >= 0 for p in probs)
+    assert abs(math.fsum(probs) - 1) <= 1e-15
+
+
+def test_slot_law_is_nonnegative_at_total_rate_one():
+    # 7/24, 1/4, 7/24, 1/6 as floats: 1 - rho(1..4) rounds to -2.2e-16
+    r = RateSpec("discrete", {1: 0.2916666666666667, 2: 0.25,
+                              3: 0.2916666666666667, 4: 0.16666666666666666})
+    assert marginal_internal_law(FragTree(4, 1), r, 1)[EMPTY] == 0.0
+    _slot_law_is_a_law(FragTree(4, 1), r)
+    rng = random.Random(1)
+    for n in range(2, 7):
+        for _ in range(600):
+            _slot_law_is_a_law(FragTree(n, 1), random_rates(n, rng, total=1.0))
+
+
+def test_negative_seeds_and_wide_indices_are_rejected(rates5, crates4):
+    # Random seeds with |key|: (-1, 0) would replay (1, 0), and (0, 2**64)
+    # would replay (1, 0) as well
+    for seed, index in ((-1, 0), (0, 1 << 64), (-3, 5)):
+        with pytest.raises(ValueError):
+            substream(seed, index)
+    assert substream(0, (1 << 64) - 1).random() != substream(1, 0).random()
+    tree = FragTree(5, 3, {3: 1}, {3: 4})
+    calls = [lambda: simulate_discrete(rates5, 5, seed=-1),
+             lambda: simulate_continuous(crates4, 1.0, seed=-1),
+             lambda: sample_aux(tree, rates5, seed=-1),
+             lambda: coupled_construction(tree, rates5, 4, seed=-1),
+             lambda: estimate_tree_prob(tree, rates5, 4, 10, seed=-1),
+             lambda: estimate_state_prob([1], crates4, 0.5, 10, seed=-1),
+             lambda: estimate_tree_prob_coupled(tree, rates5, 4, 10, seed=-1),
+             lambda: batch_tree_counts(rates5, 4, 10, seed=-1)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_sampled_atoms_are_structural_and_consistent(ref_aux_tree, rates5):

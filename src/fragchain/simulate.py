@@ -1,23 +1,26 @@
 """Monte Carlo side: direct simulation, tree matching, the auxiliary slot
 process, and the coupled construction.
 
-Determinism contract: every sampler takes (seed, index), seed >= 0 and
-0 <= index < 2^64, and derives an independent substream as
-Random((seed << 64) + index), stdlib MT19937, one per pair. Only
-raw Random.random() uniforms are consumed; all transformations (cumulative
-scan over a fragment's links, inverse-CDF exponentials) are written out
-here, so identical seeds give bit-identical trajectories on any platform.
-Draws for empty fragments and empty external slots are skipped: they would
-hit probability-0 branches, so skipping preserves the law.
+Determinism contract: every sampler takes integers (seed, index), seed >= 0
+and 0 <= index < 2^64, and draws the stream of Random((seed << 64) + index),
+stdlib MT19937, one per pair. Only raw random() uniforms are consumed; all
+transformations (cumulative scan over a fragment's links, inverse-CDF
+exponentials) are written out here, so identical seeds give bit-identical
+trajectories on any platform. Draws for empty fragments and empty external
+slots are skipped: they would hit probability-0 branches, so skipping
+preserves the law.
 
-Each sampler is one step kernel, shared by its public function and the
-estimators. An estimate reseeds one generator per index with the same key,
-so its streams are unchanged, and converts the rates to floats once. The
-discrete sampler scans the running sums of the float rates' own table
-(RateSpec.sums); the only rate-keyed cache left here is the slot program
-per (tree, rates). tests/test_simulate.py pins the streams.
+Each sampler is one per-trajectory kernel. An estimator runs one loop over
+its range of keys that reseeds one C generator (_random.Random, whose seed
+builds the state Random(key) does) and calls the kernel; a public sampler
+runs the kernel once on a fresh generator, so concurrent callers share
+none. The discrete kernel walks fragment records, built on first use over
+the float rates' running sums (RateSpec.sums), and returns the matched tree
+as an integer code, which a batch counts and decodes once per distinct code.
+tests/test_simulate.py pins the streams.
 """
 
+import _random
 import collections
 import functools
 import itertools
@@ -31,12 +34,18 @@ DEFAULT_SEED = 1729
 INF = math.inf
 
 
+def _whole(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _key(seed, index):
     """Random's seed for one trajectory. Random seeds with |key|, so a
-    negative seed or an index past 64 bits would replay another's stream."""
-    if seed < 0 or not 0 <= index < 1 << 64:
-        raise ValueError(f"need seed >= 0 and index in 0..2**64-1, got {seed}, {index}")
-    return (int(seed) << 64) + int(index)
+    negative seed or an index past 64 bits would replay another's stream,
+    and int() would make a float or bool seed replay an integer one."""
+    if not (_whole(seed) and _whole(index) and seed >= 0 and 0 <= index < 1 << 64):
+        raise ValueError(f"need integers seed >= 0 and index in 0..2**64-1, "
+                         f"got {seed!r}, {index!r}")
+    return (seed << 64) + index
 
 
 def substream(seed, index=0):
@@ -44,15 +53,13 @@ def substream(seed, index=0):
     return random.Random(_key(seed, index))
 
 
-def _streams(seed, samples):
-    """random() of substream(seed, i) for i < samples, from one generator
-    reseeded in C to the state Random(key) builds, until the next is drawn."""
-    keys = range(_key(seed, 0), _key(seed, samples - 1) + 1) if samples else ()
-    gen = random.Random()
-    rand, reseed = gen.random, super(random.Random, gen).seed
-    for key in keys:
-        reseed(key)
-        yield rand
+def _keyed(seed, samples):
+    """The keys of substream (seed, i) for i < samples, and the seed and
+    random methods of one fresh C generator to draw them."""
+    if not _whole(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
+    gen = _random.Random()
+    return range(_key(seed, 0), _key(seed, samples - 1) + 1), gen.seed, gen.random
 
 
 class Trajectory:
@@ -86,42 +93,81 @@ def _within(t, horizon):
     return horizon
 
 
-def _discrete_run(sums, n, steps, rand):
-    """Per step, each nonempty fragment lo..hi, left to right, draws one
-    uniform u and breaks the first alpha with u < rho(lo..alpha), found by
-    bisect_right in the float rates' sums[lo], or survives. A fragment
-    remembers the link whose break made it (None for the whole chain), the
-    matched-tree parent of its first break. Returns the breaks as (link,
-    parent, step), by link."""
-    frags = [(1, n, None)]
-    breaks = []
+class _Records(dict):
+    """The discrete kernel's fragment records over the float rates' sums,
+    each built on first use. self[lo, hi, field] = [sums[lo], hi - lo + 2,
+    breaks] is fragment lo..hi, made by the break of link field - 1 (field
+    1 for the whole chain): the row and bound of its bisect_right, and per
+    position k the break of link a = lo - 1 + k, breaks[k] = (the code's
+    increment, a, left record, right record), a side None when empty. A
+    tree's code holds, in link a's width-bit field, a's parent + 1 (1 for
+    the root), 0 while a is intact."""
+
+    def __init__(self, sums, n):
+        self.sums, self.n, self.width = sums, n, (n + 1).bit_length()
+        self.chain = self[1, n, 1]
+
+    def __missing__(self, key):
+        rec = self[key] = [self.sums[key[0]], key[1] - key[0] + 2, _Breaks(self, *key)]
+        return rec
+
+    def decode(self, code):
+        """The (link, parent) pairs, by link, of the tree a code holds."""
+        mask, w = (1 << self.width) - 1, self.width
+        return tuple((a, f - 1 or None) for a in range(1, self.n + 1)
+                     if (f := code >> (a - 1) * w & mask))
+
+
+class _Breaks(dict):
+    def __init__(self, records, lo, hi, field):
+        self.records, self.lo, self.hi, self.field = records, lo, hi, field
+
+    def __missing__(self, k):
+        recs, lo, hi, a = self.records, self.lo, self.hi, self.lo - 1 + k
+        kid = self[k] = (self.field << recs.width * (a - 1), a,
+                         recs[lo, a - 1, a + 1] if a > lo else None,
+                         recs[a + 1, hi, a + 1] if a < hi else None)
+        return kid
+
+
+def _discrete_run(chain, steps, rand, times):
+    """Per step, each fragment lo..hi, left to right, draws one uniform u
+    and breaks the first alpha with u < rho(lo..alpha), found by
+    bisect_right in the float rates' sums[lo], or survives. Writes each
+    break's step to times[link] and returns the matched tree's code."""
+    code, frags = 0, [chain]
     for step in range(1, steps + 1):
         split = []
         for frag in frags:
-            lo, hi, up = frag
-            a = lo - 1 + bisect_right(sums[lo], rand(), 1, hi - lo + 2)
-            if a > hi:
+            row, bound, breaks = frag
+            k = bisect_right(row, rand(), 1, bound)
+            if k == bound:
                 split.append(frag)
                 continue
-            breaks.append((a, up, step))
-            if a > lo:
-                split.append((lo, a - 1, a))
-            if a < hi:
-                split.append((a + 1, hi, a))
+            inc, a, left, right = breaks[k]
+            code += inc
+            times[a] = step
+            if left is not None:
+                split.append(left)
+            if right is not None:
+                split.append(right)
         frags = split
         if not frags:
             break
-    return sorted(breaks)
+    return code
+
+
+#: the fragment records of recent float rates, shared by single trajectories
+_records = functools.lru_cache(maxsize=16)(lambda ratesf: _Records(ratesf.sums, ratesf.n))
 
 
 def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
     """One trajectory of the discrete chain up to step t_max."""
     if rates.mode != "discrete":
         raise ValueError("simulate_discrete needs discrete rates")
-    rand = substream(seed, index).random
+    rand = _random.Random(_key(seed, index)).random
     times = dict.fromkeys(range(1, rates.n + 1), INF)
-    for a, _, step in _discrete_run(rates.as_float().sums, rates.n, int(t_max), rand):
-        times[a] = step
+    _discrete_run(_records(rates.as_float()).chain, int(t_max), rand, times)
     return Trajectory("discrete", rates.n, int(t_max), times)
 
 
@@ -136,7 +182,7 @@ def simulate_continuous(rates, t_max, seed=DEFAULT_SEED, index=0):
     exponential removal time up front, censored past t_max."""
     if rates.mode != "continuous":
         raise ValueError("simulate_continuous needs continuous rates")
-    rand = substream(seed, index).random
+    rand = _random.Random(_key(seed, index)).random
     rho = [float(rates.rho(a)) for a in range(1, rates.n + 1)]
     return Trajectory("continuous", rates.n, float(t_max),
                       _continuous_run(rho, float(t_max), rand))
@@ -194,23 +240,6 @@ def classify_tree(traj, t):
 _interned = functools.lru_cache(maxsize=4096)(lambda key: key)
 
 
-def _runs(rates, t, samples, seed):
-    """The matched tree's (vertex, parent) pairs, by vertex, at time t of
-    each trajectory i < samples of substream (seed, i)."""
-    ratesf = rates.as_float()
-    horizon = _within(t, int(t) if rates.mode == "discrete" else float(t))
-    if rates.mode == "discrete":
-        sums = ratesf.sums
-        for rand in _streams(seed, samples):
-            yield tuple([(a, p) for a, p, _ in _discrete_run(sums, rates.n, horizon, rand)])
-        return
-    rho = [ratesf.rho(a) for a in range(1, rates.n + 1)]
-    for rand in _streams(seed, samples):
-        tau = _continuous_run(rho, horizon, rand)
-        state = [a for a, x in tau.items() if x <= t]
-        yield tuple(zip(state, _tree_parents(tau, state)))
-
-
 def _estimate(hits, samples):
     p = hits / samples
     return p, math.sqrt(p * (1 - p) / samples)
@@ -224,7 +253,6 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
     trajectory matches when the tree it matches, keyed as in
     batch_tree_counts, is this one, which is matches_tree.
     """
-    _check_sampling(samples)
     if tree.n != rates.n:
         raise ValueError("tree and rates disagree on n")
     hits = batch_tree_counts(rates, t, samples, seed).get(tree.structure_key(), 0)
@@ -233,7 +261,8 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
 
 def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
-    _check_sampling(samples)
+    if any(not 1 <= a <= rates.n for a in G):
+        raise ValueError("links must lie in 1..n")
     counts = batch_tree_counts(rates, t, samples, seed)
     return _estimate(sum(c for (_, pairs), c in counts.items()
                          if {a for a, _ in pairs} == set(G)), samples)
@@ -243,13 +272,23 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     """Classify a whole batch: counts keyed by the matched tree's
     structure_key(), in order of first match. One batch covers every
     (state, tree) pair at once."""
-    counts = collections.Counter(_runs(rates, t, samples, seed))
-    return {_interned((rates.n, pairs)): c for pairs, c in counts.items()}
-
-
-def _check_sampling(samples):
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    keys, reseed, rand = _keyed(seed, samples)
+    ratesf, counts = rates.as_float(), collections.defaultdict(int)
+    if rates.mode == "discrete":
+        horizon, records, times = _within(t, int(t)), _records(ratesf), [0] * (rates.n + 1)
+        for key in keys:
+            reseed(key)
+            counts[_discrete_run(records.chain, horizon, rand, times)] += 1
+        decode = records.decode
+    else:
+        horizon, rho = _within(t, float(t)), [ratesf.rho(a) for a in range(1, rates.n + 1)]
+        for key in keys:
+            reseed(key)
+            tau = _continuous_run(rho, horizon, rand)
+            state = [a for a, x in tau.items() if x <= t]
+            counts[tuple(zip(state, _tree_parents(tau, state)))] += 1
+        decode = tuple
+    return {_interned((rates.n, decode(key))): c for key, c in counts.items()}
 
 
 # -- auxiliary slot process --------------------------------------------------
@@ -282,7 +321,8 @@ def child_slot_keys(tree, alpha):
 def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
     """One joint sample of every slot variable of the tree, bottom-up."""
     program = _slot_program(tree, rates)
-    return dict(zip(program[0], _draw_slots(program, substream(seed, index).random)))
+    rand = _random.Random(_key(seed, index)).random
+    return dict(zip(program[0], _draw_slots(program, rand)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -292,6 +332,8 @@ def _slot_program(tree, rates):
     internals, bottom-up: (slot, child slots, lam_a, 1 - rho(I_a), that plus
     rho(a)). layout[a], for a vertex a or None (the root's parent): (slot
     of a, children of a, slots of the externals anchored at a)."""
+    if tree.n != rates.n:
+        raise ValueError("tree and rates disagree on n")
     ratesf = rates.as_float()
     ext = external_slots(tree)
     keys = tuple(slot_order(tree))
@@ -459,7 +501,8 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     never resolved. Returns (Trajectory, failure_step or None).
     """
     program = _coupled_program(tree, rates)
-    removed, failure = _coupled_run(program, int(t_max), substream(seed, index).random)
+    rand = _random.Random(_key(seed, index)).random
+    removed, failure = _coupled_run(program, int(t_max), rand)
     times = {a: removed.get(a, INF) for a in range(1, tree.n + 1)}
     return Trajectory("discrete", tree.n, int(t_max), times), failure
 
@@ -468,9 +511,12 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     """Matching-probability estimate from the coupled construction: a
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
-    _check_sampling(samples)
     program = _coupled_program(tree, rates.as_float())
     steps, size = _within(t, int(t)), len(tree.G)
-    runs = (_coupled_run(program, steps, rand) for rand in _streams(seed, samples))
-    return _estimate(sum(1 for removed, failure in runs
-                         if failure is None and len(removed) == size), samples)
+    keys, reseed, rand = _keyed(seed, samples)
+    hits = 0
+    for key in keys:
+        reseed(key)
+        removed, failure = _coupled_run(program, steps, rand)
+        hits += failure is None and len(removed) == size
+    return _estimate(hits, samples)

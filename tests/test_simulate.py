@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -175,6 +177,20 @@ def test_fast_classification_is_the_definition(rates5, crates4):
                     sum(matches_tree(traj, tree, t) for traj in trajs)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_batch_counts_are_the_per_index_trees_on_long_chains(n):
+    # the hypothesis test below stops at n <= 6; longer chains take wider
+    # bit fields per link in the batch's tree codes
+    rng = random.Random(n)
+    for rates in (random_rates(n, rng, total=0.9), random_rates(n, rng, total=1.0, exact=True)):
+        for t, samples in ((1, 200), (4, 300), (9, 300)):
+            want = {}
+            for i in range(samples):
+                key = classify_tree(simulate_discrete(rates, t, 11, i), t).structure_key()
+                want[key] = want.get(key, 0) + 1
+            assert list(batch_tree_counts(rates, t, samples, 11).items()) == list(want.items())
+
+
 @st.composite
 def mc_cases_st(draw):
     """Rates on n <= 6 links, discrete ones summing to at most exactly 1,
@@ -340,6 +356,44 @@ def test_negative_seeds_and_wide_indices_are_rejected(rates5, crates4):
             call()
 
 
+def test_seeds_indices_and_sample_counts_must_be_integers(rates5, crates4, ref_aux_tree):
+    # int() used to truncate them: 2.5 samples ran 2 trajectories and divided
+    # by 2.5, seed 1.5 drew seed 1's stream and seed True drew seed 1's
+    r = RateSpec("discrete", {1: 0.3, 2: 0.3})
+    calls = [lambda: estimate_state_prob([], r, 1, 2.5, 7),
+             lambda: estimate_tree_prob(FragTree(2, None), r, 1, 2.0, 7),
+             lambda: estimate_tree_prob_coupled(ref_aux_tree, rates5, 3, True, 7),
+             lambda: batch_tree_counts(crates4, 0.5, 10.0, 7),
+             lambda: substream(1.5, 0),
+             lambda: substream(1, 0.9),
+             lambda: simulate_discrete(r, 3, seed=True),
+             lambda: simulate_discrete(r, 3, seed=1, index=False),
+             lambda: simulate_continuous(crates4, 1.0, seed=2.0),
+             lambda: sample_aux(ref_aux_tree, rates5, seed=2.7),
+             lambda: coupled_construction(ref_aux_tree, rates5, 4, index=1.0),
+             lambda: batch_tree_counts(r, 1, 10, seed=7.0)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_coupled_route_rejects_a_tree_of_another_n(rates5):
+    tree = FragTree(3, 2, {2: 1}, {2: 3})
+    for call in (lambda: estimate_tree_prob_coupled(tree, rates5, 3, 1000, 1),
+                 lambda: coupled_construction(tree, rates5, 3),
+                 lambda: sample_aux(tree, rates5)):
+        with pytest.raises(ValueError, match="disagree on n"):
+            call()
+
+
+def test_state_estimate_rejects_links_outside_the_chain_before_sampling(rates5):
+    # t = 2.5 fails only once sampling starts, so the links are checked first
+    for G in ([9], [0], [2, 6]):
+        for t in (3, 2.5):
+            with pytest.raises(ValueError, match="links must lie in 1..n"):
+                estimate_state_prob(G, rates5, t, 100, 1)
+
+
 def test_sampled_atoms_are_structural_and_consistent(ref_aux_tree, rates5):
     keys = slot_order(ref_aux_tree)
     structural = {tuple(a[k] for k in keys) for a in enumerate_atoms(ref_aux_tree)}
@@ -422,6 +476,33 @@ def test_coupled_respects_tree_order(rates5):
         t2, t4 = traj.removal_time[2], traj.removal_time[4]
         if t4 != math.inf:
             assert t2 < t4
+
+
+def test_concurrent_samplers_match_sequential_calls(rates5, ref_aux_tree):
+    # each call draws from its own generator, and threads that build the
+    # same lazily built fragment records at once still read equal ones
+    def draw(rates, seed, out):
+        out[seed] = ([simulate_discrete(rates, 8, seed, i).removal_time for i in range(200)],
+                     [sample_aux(ref_aux_tree, rates, seed, i) for i in range(200)])
+
+    seeds = range(1, 7)  # six threads, more than a small runner's cores
+    want = {}
+    for seed in seeds:
+        draw(rates5, seed, want)
+    fresh = RateSpec("discrete", {a: rates5.rho(a) for a in range(1, 6)})
+    got = {}
+    threads = [threading.Thread(target=draw, args=(fresh, seed, got)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
 
 
 # -- pinned streams -----------------------------------------------------------

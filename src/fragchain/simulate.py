@@ -10,14 +10,14 @@ trajectories on any platform. Draws for empty fragments and empty external
 slots are skipped: they would hit probability-0 branches, so skipping
 preserves the law.
 
-Each sampler is one per-trajectory kernel. An estimator runs one loop over
-its range of keys that reseeds one C generator (_random.Random, whose seed
-builds the state Random(key) does) and calls the kernel; a public sampler
-runs the kernel once on a fresh generator, so concurrent callers share
-none. The discrete kernel walks fragment records, built on first use over
-the float rates' running sums (RateSpec.sums), and returns the matched tree
-as an integer code, which a batch counts and decodes once per distinct code.
-tests/test_simulate.py pins the streams.
+Each sampler is one per-trajectory kernel. An estimator loops over its
+range of keys, reseeding one C generator (_random.Random, whose seed builds
+the state Random(key) does) and calling the kernel; a public sampler runs
+the kernel once on a fresh generator, so concurrent callers share none.
+The discrete kernel bisects the float rates' running sums (RateSpec.sums)
+and returns the matched tree as an integer code. A batch counts codes and
+decodes each distinct one once, cheap while trajectories share trees (short
+chains) and codes stay a word or two. tests/test_simulate.py pins the streams.
 """
 
 import _random
@@ -39,12 +39,10 @@ def _whole(x):
 
 
 def _key(seed, index):
-    """Random's seed for one trajectory. Random seeds with |key|, so a
-    negative seed or an index past 64 bits would replay another's stream,
-    and int() would make a float or bool seed replay an integer one."""
+    """Random's seed for one trajectory. A negative seed (Random seeds with
+    |key|), an index past 64 bits or a non-int would replay another stream."""
     if not (_whole(seed) and _whole(index) and seed >= 0 and 0 <= index < 1 << 64):
-        raise ValueError(f"need integers seed >= 0 and index in 0..2**64-1, "
-                         f"got {seed!r}, {index!r}")
+        raise ValueError(f"need int seed >= 0 and index < 2**64, got {seed!r}, {index!r}")
     return (seed << 64) + index
 
 
@@ -93,72 +91,44 @@ def _within(t, horizon):
     return horizon
 
 
-class _Records(dict):
-    """The discrete kernel's fragment records over the float rates' sums,
-    each built on first use. self[lo, hi, field] = [sums[lo], hi - lo + 2,
-    breaks] is fragment lo..hi, made by the break of link field - 1 (field
-    1 for the whole chain): the row and bound of its bisect_right, and per
-    position k the break of link a = lo - 1 + k, breaks[k] = (the code's
-    increment, a, left record, right record), a side None when empty. A
-    tree's code holds, in link a's width-bit field, a's parent + 1 (1 for
-    the root), 0 while a is intact."""
-
-    def __init__(self, sums, n):
-        self.sums, self.n, self.width = sums, n, (n + 1).bit_length()
-        self.chain = self[1, n, 1]
-
-    def __missing__(self, key):
-        rec = self[key] = [self.sums[key[0]], key[1] - key[0] + 2, _Breaks(self, *key)]
-        return rec
-
-    def decode(self, code):
-        """The (link, parent) pairs, by link, of the tree a code holds."""
-        mask, w = (1 << self.width) - 1, self.width
-        return tuple((a, f - 1 or None) for a in range(1, self.n + 1)
-                     if (f := code >> (a - 1) * w & mask))
-
-
-class _Breaks(dict):
-    def __init__(self, records, lo, hi, field):
-        self.records, self.lo, self.hi, self.field = records, lo, hi, field
-
-    def __missing__(self, k):
-        recs, lo, hi, a = self.records, self.lo, self.hi, self.lo - 1 + k
-        kid = self[k] = (self.field << recs.width * (a - 1), a,
-                         recs[lo, a - 1, a + 1] if a > lo else None,
-                         recs[a + 1, hi, a + 1] if a < hi else None)
-        return kid
-
-
-def _discrete_run(chain, steps, rand, times):
+def _discrete_run(sums, n, steps, rand, times=None):
     """Per step, each fragment lo..hi, left to right, draws one uniform u
     and breaks the first alpha with u < rho(lo..alpha), found by
     bisect_right in the float rates' sums[lo], or survives. Writes each
-    break's step to times[link] and returns the matched tree's code."""
-    code, frags = 0, [chain]
+    break's step to times[link], if given, and returns the matched tree's
+    code: in link a's field of (n + 1).bit_length() bits, a's parent + 1
+    (1 for the root), 0 while a is intact."""
+    width = (n + 1).bit_length()
+    code, frags = 0, [(1, n, 1)]
     for step in range(1, steps + 1):
         split = []
         for frag in frags:
-            row, bound, breaks = frag
-            k = bisect_right(row, rand(), 1, bound)
-            if k == bound:
+            lo, hi, field = frag
+            a = lo - 1 + bisect_right(sums[lo], rand(), 1, hi - lo + 2)
+            if a > hi:
                 split.append(frag)
                 continue
-            inc, a, left, right = breaks[k]
-            code += inc
-            times[a] = step
-            if left is not None:
-                split.append(left)
-            if right is not None:
-                split.append(right)
+            code += field << width * (a - 1)
+            if times is not None:
+                times[a] = step
+            if a > lo:
+                split.append((lo, a - 1, a + 1))
+            if a < hi:
+                split.append((a + 1, hi, a + 1))
         frags = split
         if not frags:
             break
     return code
 
 
-#: the fragment records of recent float rates, shared by single trajectories
-_records = functools.lru_cache(maxsize=16)(lambda ratesf: _Records(ratesf.sums, ratesf.n))
+def _decode(code, n):
+    """The (link, parent) pairs, by link, of the tree a code holds."""
+    width, pairs = (n + 1).bit_length(), []
+    while code:  # top nonzero field first: one pass per break, not per link
+        k = (code.bit_length() - 1) // width * width
+        pairs.append((k // width + 1, (code >> k) - 1 or None))
+        code &= (1 << k) - 1
+    return tuple(reversed(pairs))
 
 
 def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
@@ -167,7 +137,7 @@ def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
         raise ValueError("simulate_discrete needs discrete rates")
     rand = _random.Random(_key(seed, index)).random
     times = dict.fromkeys(range(1, rates.n + 1), INF)
-    _discrete_run(_records(rates.as_float()).chain, int(t_max), rand, times)
+    _discrete_run(rates.as_float().sums, rates.n, int(t_max), rand, times)
     return Trajectory("discrete", rates.n, int(t_max), times)
 
 
@@ -275,11 +245,11 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     keys, reseed, rand = _keyed(seed, samples)
     ratesf, counts = rates.as_float(), collections.defaultdict(int)
     if rates.mode == "discrete":
-        horizon, records, times = _within(t, int(t)), _records(ratesf), [0] * (rates.n + 1)
+        horizon, sums, n = _within(t, int(t)), ratesf.sums, rates.n
         for key in keys:
             reseed(key)
-            counts[_discrete_run(records.chain, horizon, rand, times)] += 1
-        decode = records.decode
+            counts[_discrete_run(sums, n, horizon, rand)] += 1
+        decode = functools.partial(_decode, n=n)
     else:
         horizon, rho = _within(t, float(t)), [ratesf.rho(a) for a in range(1, rates.n + 1)]
         for key in keys:
@@ -320,8 +290,7 @@ def child_slot_keys(tree, alpha):
 
 def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
     """One joint sample of every slot variable of the tree, bottom-up."""
-    program = _slot_program(tree, rates)
-    rand = _random.Random(_key(seed, index)).random
+    program, rand = _slot_program(tree, rates), _random.Random(_key(seed, index)).random
     return dict(zip(program[0], _draw_slots(program, rand)))
 
 

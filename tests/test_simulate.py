@@ -480,7 +480,7 @@ def test_coupled_respects_tree_order(rates5):
 
 def test_concurrent_samplers_match_sequential_calls(rates5, ref_aux_tree):
     # each call draws from its own generator, and threads that build the
-    # same lazily built fragment records at once still read equal ones
+    # same fresh rates' running sums (a cached property) at once read equal ones
     def draw(rates, seed, out):
         out[seed] = ([simulate_discrete(rates, 8, seed, i).removal_time for i in range(200)],
                      [sample_aux(ref_aux_tree, rates, seed, i) for i in range(200)])

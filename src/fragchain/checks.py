@@ -150,7 +150,7 @@ def cmd_verify(args, write_out):
     tables = {t: pr.transition_matrix_dist(oracle_rates, t) for t in tgrid}
     direct = {}
     for G in pr._state_keys(rates.n):
-        terms = [pr._paper_terms(tr, rates, "direct")
+        terms = [pr._paper_terms(tr, rates)
                  for tr in fragments.enumerate_fragmentation_trees(G, rates.n)]
         for t in tgrid:
             q = tables[t][G]

@@ -270,10 +270,9 @@ def cmd_verify(args):
 # -- parser ------------------------------------------------------------------
 
 METHOD_HELP = ("discrete route: auto (default) is the interval recursion; "
-               "direct and expanded are the paper's tree/inclusion-exclusion "
-               "formula with that lambda-difference denominator")
+               "direct is the paper's tree/inclusion-exclusion formula")
 BUDGET_HELP = ("cap on the term count of tree enumeration and of the formula "
-               "routes --method direct|expanded; it caps no other route")
+               "route --method direct; it caps no other route")
 
 
 def build_parser():
@@ -292,8 +291,8 @@ def build_parser():
                    help="endpoint inclusion-exclusion route (G inside {1,n})")
     d.add_argument("--oracle", action="store_true",
                    help="transition-matrix/generator route instead of the formulas")
-    d.add_argument("--method", default="auto",
-                   choices=["auto", "direct", "expanded"], help=METHOD_HELP)
+    d.add_argument("--method", default="auto", choices=["auto", "direct"],
+                   help=METHOD_HELP)
     d.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help=BUDGET_HELP)
     d.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -305,8 +304,8 @@ def build_parser():
     tp.add_argument("--tree", required=True)
     tp.add_argument("--time", required=True)
     tp.add_argument("--exact", action="store_true")
-    tp.add_argument("--method", default="auto",
-                    choices=["auto", "direct", "expanded"], help=METHOD_HELP)
+    tp.add_argument("--method", default="auto", choices=["auto", "direct"],
+                    help=METHOD_HELP)
     tp.set_defaults(func=cmd_treeprob)
 
     tr = sub.add_parser("trees", help="enumerate fragmentation trees")

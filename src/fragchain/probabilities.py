@@ -13,11 +13,11 @@ links. Discrete-chain probabilities have three routes:
   that does not grow with t. Every term is nonnegative, so float results
   are accurate in relative terms. With the root of every interval fixed it
   gives one tree's probability, by a scan over the tree's vertices;
-* the paper's route (method="direct" or "expanded"): a sum over the
-  Catalan(|G|) fragmentation trees of G, each an inclusion-exclusion sum
-  over the 2^(|G|-1) cut sets of its edges. The method names the way
-  lambda_diff forms the waiting-rate denominators. Only this route and tree
-  enumeration are subject to the enumeration budget (BudgetError);
+* the paper's route (method="direct"): a sum over the Catalan(|G|)
+  fragmentation trees of G, each an inclusion-exclusion sum over the
+  2^(|G|-1) cut sets of its edges, with the waiting-rate denominators of
+  lambda_diff. Only this route and tree enumeration are subject to the
+  enumeration budget (BudgetError);
 * oracles: the transition-matrix power (discrete) and the uniformised
   generator exponential (continuous), built straight from the one-step
   definition and kept for comparison only. Both multiply a sparse vector by
@@ -205,41 +205,14 @@ def lambda_value(rates, G, interval=None):
     return lam_interval(rates, g, lo, hi)
 
 
-def lambda_diff(rates, removed, lo, hi, method="auto"):
-    """lambda^I_removed - lambda^I_empty by two routes.
-
-    "direct" subtracts the two products. "expanded" cancels the shared bulk
-    symbolically: sum of removed rates plus the alternating elementary
-    symmetric sums of the fragment rates of order >= 2; preferred in float
-    mode since it never subtracts nearby numbers. "auto" picks expanded for
-    floats and direct for exact rates. The value is strictly positive for
-    nonempty removed sets under valid rates; a nonpositive result raises
-    ConsistencyError.
-    """
-    from .fragments import chain_fragments
-
-    gaps = [rates.rho_run(f.lo, f.hi) for f in chain_fragments(lo, hi, removed)
-            if not f.empty]
-    if method == "auto":
-        method = "direct" if rates.exact else "expanded"
-    if method == "direct":
-        prod = rates.one
-        for g in gaps:
-            prod = prod * (1 - g)
-        val = prod - (1 - rates.rho_run(lo, hi))
-    elif method == "expanded":
-        # elementary symmetric sums e_k of the gap rates
-        coeffs = [rates.one]
-        for g in gaps:
-            coeffs = [coeffs[0]] + [coeffs[k] + g * coeffs[k - 1]
-                                    for k in range(1, len(coeffs))] + [g * coeffs[-1]]
-        val = rates.rho_sum(removed)
-        sign = 1
-        for k in range(2, len(coeffs)):
-            val = val + sign * coeffs[k]
-            sign = -sign
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def lambda_diff(rates, removed, lo, hi):
+    """lambda^I_removed - lambda^I_empty for I = [lo, hi], the difference of
+    the two no-change probabilities (the whole-interval one unclamped).
+    Discrete mode only. The value is strictly positive for nonempty removed
+    sets under valid rates; a nonpositive result raises ConsistencyError."""
+    if rates.mode != "discrete":
+        raise ValueError("lambda is a discrete-chain quantity")
+    val = lam_interval(rates, removed, lo, hi) - (1 - rates.rho_run(lo, hi))
     if removed and not val > 0:
         raise ConsistencyError(
             f"nonpositive waiting-rate denominator {val!r} on [{lo},{hi}]")
@@ -265,6 +238,7 @@ def dist_continuous(G, rates, t):
 
 
 def _check_time(t, mode):
+    """t, if it is a time of the chain in this mode; a float if continuous."""
     if mode == "discrete":
         if isinstance(t, bool) or not isinstance(t, int) or t < 0:
             raise ValueError("discrete time must be a nonnegative integer")
@@ -272,6 +246,7 @@ def _check_time(t, mode):
         t = float(t)
         if not (t >= 0 and math.isfinite(t)):
             raise ValueError("time must be nonnegative and finite")
+    return t
 
 
 def _edge_submasks_by_size(tree):
@@ -308,8 +283,7 @@ def tree_prob_continuous(tree, rates, t):
     """
     if rates.mode != "continuous":
         raise ValueError("tree_prob_continuous needs continuous rates")
-    _check_time(t, "continuous")
-    t = float(t)
+    t = _check_time(t, "continuous")
     n = rates.n
     if tree.n != n:
         raise ValueError("tree and rates disagree on n")
@@ -475,7 +449,7 @@ def _state_mask(G, n):
 
 
 def _check_method(method):
-    if method not in ("auto", "direct", "expanded"):
+    if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
 
 
@@ -484,26 +458,25 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
 
     "auto" runs the interval recursion with the root of every interval
     fixed by the tree: g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
-    g_right(u-1). "direct" and "expanded" run the paper's inclusion-exclusion
-    over cut sets H: terms combine the no-change eigenvalues lambda^L of the
-    stump state with per-vertex waiting weights
-    rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty),
-    the method naming the denominator route (see lambda_diff). Exact in
-    rational mode; compensated float sum otherwise.
+    g_right(u-1). "direct" runs the paper's inclusion-exclusion over cut
+    sets H: terms combine the no-change eigenvalues lambda^L of the stump
+    state with per-vertex waiting weights
+    rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty)
+    (see lambda_diff). Exact in rational mode; compensated float sum
+    otherwise.
     """
     if rates.mode != "discrete":
         raise ValueError("tree_prob_discrete needs discrete rates")
     _check_time(t, "discrete")
     _check_method(method)
-    n = rates.n
-    if tree.n != n:
+    if tree.n != rates.n:
         raise ValueError("tree and rates disagree on n")
     if method == "auto":
         return _tree_prob(tree, rates, t)
-    return _paper_prob(_paper_terms(tree, rates, method), t, rates.exact)
+    return _paper_prob(_paper_terms(tree, rates), t, rates.exact)
 
 
-def _paper_terms(tree, rates, method):
+def _paper_terms(tree, rates):
     """The paper's formula for one tree but the horizon: the lambdas of the
     empty state and of each distinct stump, and per cut set H, smallest
     first, (|H| odd, its stump's index, the product of the waiting weights)."""
@@ -524,9 +497,8 @@ def _paper_terms(tree, rates, method):
         for a in tree.G:
             key = (a, comp[a])
             if key not in denom:
-                denom[key] = lambda_diff(
-                    rates, sorted(tree.mask_vertices(comp[a])),
-                    tree.lo[a], tree.hi[a], method)
+                denom[key] = lambda_diff(rates, sorted(tree.mask_vertices(comp[a])),
+                                         tree.lo[a], tree.hi[a])
             factor = factor * rates.rho(a) / denom[key]
         cuts.append((size & 1, stumps[stump], factor))
     return lams, cuts
@@ -556,9 +528,9 @@ def _paper_dist(trees_terms, t, exact):
 def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     """P(state = G at time t) for the discrete chain.
 
-    "auto" runs the interval recursion. "direct" and "expanded" sum the
-    matching probabilities of all fragmentation trees of G by the paper's
-    formula; only they are subject to the budget.
+    "auto" runs the interval recursion. "direct" sums the matching
+    probabilities of all fragmentation trees of G by the paper's formula;
+    only it is subject to the budget.
     """
     if rates.mode != "discrete":
         raise ValueError("dist_discrete needs discrete rates")
@@ -569,7 +541,7 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     from .fragments import enumerate_fragmentation_trees
 
     trees = enumerate_fragmentation_trees(G, rates.n, budget)
-    return _paper_dist([_paper_terms(tr, rates, method) for tr in trees], t,
+    return _paper_dist([_paper_terms(tr, rates) for tr in trees], t,
                        rates.exact)
 
 
@@ -640,14 +612,13 @@ def _state_keys(n):
 
 def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
     """Full DistTable over every subset of 1..n. "auto" runs one interval
-    recursion program for all states at once; the other methods evaluate
-    the paper's formula state by state."""
+    recursion program for all states at once; "direct" evaluates the
+    paper's formula state by state."""
     if rates.n > 20:
         raise ValueError("full tables are limited to n <= 20")
     if rates.mode != "discrete":
         raise ValueError("dist_discrete_all needs discrete rates")
     _check_time(t, "discrete")
-    _check_method(method)
     keys = _state_keys(rates.n)
     if method == "auto":
         entries = dict(zip(keys, _run(_table_program(rates.n), rates, t)))

@@ -28,6 +28,8 @@ import math
 import random
 from bisect import bisect_right
 
+from .probabilities import _check_time
+
 #: documented default seed for every CLI entry point and helper
 DEFAULT_SEED = 1729
 
@@ -135,10 +137,11 @@ def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
     """One trajectory of the discrete chain up to step t_max."""
     if rates.mode != "discrete":
         raise ValueError("simulate_discrete needs discrete rates")
+    steps = _check_time(t_max, "discrete")
     rand = _random.Random(_key(seed, index)).random
     times = dict.fromkeys(range(1, rates.n + 1), INF)
-    _discrete_run(rates.as_float().sums, rates.n, int(t_max), rand, times)
-    return Trajectory("discrete", rates.n, int(t_max), times)
+    _discrete_run(rates.as_float().sums, rates.n, steps, rand, times)
+    return Trajectory("discrete", rates.n, steps, times)
 
 
 def _continuous_run(rho, t_max, rand):
@@ -154,8 +157,8 @@ def simulate_continuous(rates, t_max, seed=DEFAULT_SEED, index=0):
         raise ValueError("simulate_continuous needs continuous rates")
     rand = _random.Random(_key(seed, index)).random
     rho = [float(rates.rho(a)) for a in range(1, rates.n + 1)]
-    return Trajectory("continuous", rates.n, float(t_max),
-                      _continuous_run(rho, float(t_max), rand))
+    t_max = _check_time(t_max, "continuous")
+    return Trajectory("continuous", rates.n, t_max, _continuous_run(rho, t_max, rand))
 
 
 def matches_tree(traj, tree, t):
@@ -245,13 +248,15 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     keys, reseed, rand = _keyed(seed, samples)
     ratesf, counts = rates.as_float(), collections.defaultdict(int)
     if rates.mode == "discrete":
-        horizon, sums, n = _within(t, int(t)), ratesf.sums, rates.n
+        sums, n = ratesf.sums, rates.n
+        horizon = _within(t, _check_time(math.floor(t), "discrete"))
         for key in keys:
             reseed(key)
             counts[_discrete_run(sums, n, horizon, rand)] += 1
         decode = functools.partial(_decode, n=n)
     else:
-        horizon, rho = _within(t, float(t)), [ratesf.rho(a) for a in range(1, rates.n + 1)]
+        rho = [ratesf.rho(a) for a in range(1, rates.n + 1)]
+        horizon = _within(t, _check_time(t, "continuous"))
         for key in keys:
             reseed(key)
             tau = _continuous_run(rho, horizon, rand)
@@ -471,9 +476,9 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     """
     program = _coupled_program(tree, rates)
     rand = _random.Random(_key(seed, index)).random
-    removed, failure = _coupled_run(program, int(t_max), rand)
+    removed, failure = _coupled_run(program, _check_time(t_max, "discrete"), rand)
     times = {a: removed.get(a, INF) for a in range(1, tree.n + 1)}
-    return Trajectory("discrete", tree.n, int(t_max), times), failure
+    return Trajectory("discrete", tree.n, t_max, times), failure
 
 
 def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
@@ -481,7 +486,7 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
     program = _coupled_program(tree, rates.as_float())
-    steps, size = _within(t, int(t)), len(tree.G)
+    steps, size = _within(t, _check_time(math.floor(t), "discrete")), len(tree.G)
     keys, reseed, rand = _keyed(seed, samples)
     hits = 0
     for key in keys:

@@ -377,6 +377,26 @@ def test_seeds_indices_and_sample_counts_must_be_integers(rates5, crates4, ref_a
             call()
 
 
+def test_horizons_follow_the_time_rule(crates4):
+    # a discrete horizon is an int, not a bool, and a continuous one is
+    # finite, both at least 0; an estimate's horizon is its time's whole steps
+    r = RateSpec("discrete", {1: 0.3, 2: 0.3})
+    calls = [lambda: simulate_discrete(r, 3.7, 1, 0),
+             lambda: simulate_discrete(r, True, 1, 0),
+             lambda: simulate_discrete(r, -2, 1, 0),
+             lambda: coupled_construction(FragTree(2, 1), r, 2.9, 1, 0),
+             lambda: simulate_continuous(crates4, math.nan),
+             lambda: simulate_continuous(crates4, math.inf),
+             lambda: simulate_continuous(crates4, -1.0),
+             lambda: batch_tree_counts(r, -1, 5, 1),
+             lambda: batch_tree_counts(crates4, -0.5, 5, 1),
+             lambda: batch_tree_counts(crates4, math.nan, 5, 1),
+             lambda: estimate_tree_prob_coupled(FragTree(2, 1), r, -1, 5, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="time must be"):
+            call()
+
+
 def test_coupled_route_rejects_a_tree_of_another_n(rates5):
     tree = FragTree(3, 2, {2: 1}, {2: 3})
     for call in (lambda: estimate_tree_prob_coupled(tree, rates5, 3, 1000, 1),

@@ -11,8 +11,15 @@ links. Discrete-chain probabilities have three routes:
   A program per table or state lists each interval state it reaches once
   (O(|G|^2) for a state) and advances them all a step at a time, in memory
   that does not grow with t. Every term is nonnegative, so float results
-  are accurate in relative terms. With the root of every interval fixed it
-  gives one tree's probability, by a scan over the tree's vertices;
+  are accurate in relative terms. A program that is stepped often becomes
+  one generated straight-line function, which does the same operations in
+  the same order about twice as fast, so results keep their bits. Two gates
+  decide it. A program is generated only once it has run HOT_STEPS steps
+  over its calls, about what generating costs, so a one-shot call never
+  pays for it. A program of more than HOT_MAX_TERMS states plus breaks is
+  never generated, as compiling takes some 3 KiB of peak memory per term
+  (12 MiB for an n = 8 table). With the root of every interval fixed the
+  recursion gives one tree's probability, by a scan over the tree's vertices;
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the
   2^(|G|-1) cut sets of its edges, with the waiting-rate denominators of
@@ -49,6 +56,12 @@ from .errors import DEFAULT_BUDGET, ConsistencyError
 MATRIX_MAX_N = 12
 GENERATOR_MAX_N = 10
 GENERATOR_MAX_RT = 10_000
+#: steps a program runs interpreted, over all its calls, before _run
+#: generates its kernel: about as many as the generation costs
+HOT_STEPS = 100
+#: largest program generated, in states plus breaks: tables up to n = 7 and
+#: single states up to |G| = 21
+HOT_MAX_TERMS = 2**11
 
 
 class RateSpec:
@@ -339,7 +352,57 @@ def _compile(n, keys, tops):
             rank[2].append(index[a + 1, hi, mask & -(low << 1)])
     k = array("i", [key[2].bit_count() for key in keys])
     outs = array("i", map(index.__getitem__, tops))
-    return list(intervals), iv, k, [r for r in ranks[:-1] if r[0]], ranks[-1], outs
+    return _Program(list(intervals), iv, k, [r for r in ranks[:-1] if r[0]], ranks[-1], outs)
+
+
+class _Program:
+    """A compiled interval recursion (see _compile), the steps it has run
+    over all its calls, and once they reach HOT_STEPS its generated kernel."""
+
+    __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel")
+
+    def __init__(self, intervals, iv, ks, earlier, last, outs):
+        self.intervals, self.iv, self.ks = intervals, iv, ks
+        self.earlier, self.last, self.outs = earlier, last, outs
+        self.steps = 0
+        self.kernel = None
+
+
+def _generate(prog):
+    """The program as one straight-line Python function
+    kernel(t, lam, coefs, intact, f) -> f after t steps from f, with lam,
+    the coefficients of each rank (earlier ones, then last) and the intact
+    stays as _run forms them, so one kernel serves every rate and horizon.
+
+    Every state's value lives in a local. Each step updates the inner states
+    in index order, f_i = lam_i f_i + (sum of c f' f'' over its breaks in
+    ascending link order), then the intact ones, s ** u. A state's sides
+    have fewer breaks, so higher indices: they still hold step u - 1 when it
+    reads them, and no second buffer is needed. The operations are those of
+    _run's loop, in its order (its 0 + x is x), so floats keep their bits.
+    """
+    ks, ranks = prog.ks, [*prog.earlier, prog.last]
+    inner, size = len(prog.last[0]), len(ks)
+    values = ", ".join(f"f{i}" for i in range(size))
+    lines = ["def kernel(t, lam, coefs, intact, f):",
+             f"    {values}, = f"]
+    for names, source in [([f"m{i}" for i in range(inner)], "lam"),
+                          ([f"s{i}" for i in range(inner, size)], "intact"),
+                          *[([f"c{j}_{i}" for i in range(len(rank[0]))], f"coefs[{j}]")
+                            for j, rank in enumerate(ranks)]]:
+        if names:
+            lines.append(f"    {', '.join(names)}, = {source}")
+    lines.append("    for u in range(1, t + 1):")
+    for i in range(inner):
+        terms = [f"c{j}_{i} * f{ranks[j][1][i]} * f{ranks[j][2][i]}"
+                 for j in [*range(ks[i] - 1), len(ranks) - 1]]
+        lines.append(f"        f{i} = m{i} * f{i} + ({' + '.join(terms)})")
+    lines += [f"        f{i} = s{i} ** u" for i in range(inner, size)]
+    lines.append(f"    return [{values}]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<interval program of {size} states>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def _table_program(n):
@@ -379,28 +442,38 @@ def _run(prog, rates, t):
     runs on ints up to one Fraction per answer; float mode has D^k = 1.0.
     All states advance together: memory is O(states) whatever t. Breaks
     add in ascending link order, the last inside the update, as the floats
-    always did (0 + x is x for x >= 0), so they keep their bits.
+    always did (0 + x is x for x >= 0), so they keep their bits. A hot
+    program steps through its generated kernel (_generate) instead.
     """
-    intervals, iv, ks, earlier, last, outs = prog
+    iv, ks, outs = prog.iv, prog.ks, prog.outs
     D, p = rates.scaled
-    stays = [rates.scaled_stay(lo, hi) for lo, hi in intervals]
+    stays = [rates.scaled_stay(lo, hi) for lo, hi in prog.intervals]
     # a state over k links reads D^k p(a) at each break a, and lam = D^k (D - P_I)
     Dk = [D ** k for k in range(max(ks) + 1)]
-    inner = len(last[0])
+    inner = len(prog.last[0])
     lam = [Dk[ks[i]] * stays[iv[i]] for i in range(inner)]
     intact = [stays[iv[i]] for i in range(inner, len(ks))]
     *ranks, (last_c, last_l, last_r) = [([Dk[k] * p[a] for k, a in zip(ks, links)], ls, rs)
-                                        for links, ls, rs in [*earlier, last]]
+                                        for links, ls, rs in [*prog.earlier, prog.last]]
     zeros = [0] * inner
     f = zeros + [s ** 0 for s in intact]
-    for u in range(1, t + 1):
-        # h: every break but the last, each rank over a prefix of the states;
-        # with no ranks it stays all zeros and needs no copy
-        h = zeros[:] if ranks else zeros
-        for c, ls, rs in ranks:
-            h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
-        f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
-             in zip(lam, f, h, last_c, last_l, last_r)] + [s ** u for s in intact]
+    # a first call never generates, so one-shot programs stay on the loop;
+    # generating takes some 3 KiB of peak memory per state and break
+    if (prog.kernel is None and prog.steps >= HOT_STEPS
+            and len(ks) + sum(ks) <= HOT_MAX_TERMS):
+        prog.kernel = _generate(prog)
+    prog.steps += t
+    if prog.kernel is not None:
+        f = prog.kernel(t, lam, [c for c, _, _ in ranks] + [last_c], intact, f)
+    else:
+        for u in range(1, t + 1):
+            # h: every break but the last, each rank over a prefix of the
+            # states; with no ranks it stays all zeros and needs no copy
+            h = zeros[:] if ranks else zeros
+            for c, ls, rs in ranks:
+                h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
+            f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
+                 in zip(lam, f, h, last_c, last_l, last_r)] + [s ** u for s in intact]
     scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
     return [_clamp_prob(Fraction(f[i], scales[ks[i]]) if rates.exact
                         else f[i] / scales[ks[i]], rates.exact) for i in outs]

@@ -559,6 +559,57 @@ def test_long_horizon_memory_stays_flat():
     assert math.isclose(p, want, rel_tol=1e-9)
 
 
+def test_generated_kernel_keeps_every_bit(monkeypatch):
+    # each case runs on two fresh programs: with HOT_STEPS past any horizon
+    # the loop steps it, with HOT_STEPS = 0 the kernel generated on the
+    # first call does; floats and exact values must agree to the last digit
+    rng = make_rng(17)
+    for case in range(600):
+        n, t = rng.randint(1, 7), rng.randint(0, 15)
+        r = random_rates(n, rng, total=rng.choice([0.5, 0.9, 1.0]),
+                         exact=rng.random() < 0.3)
+        mask = rng.randrange(1 << n)
+        if case % 2:
+            def build():
+                return probabilities._build_table_program(n)
+        else:
+            def build():
+                return probabilities._state_program.__wrapped__(n, mask)
+        results = []
+        for hot_steps in (10**9, 0):
+            monkeypatch.setattr(probabilities, "HOT_STEPS", hot_steps)
+            prog = build()
+            results.append(repr(probabilities._run(prog, r, t)))
+            assert (prog.kernel is None) == bool(hot_steps)
+        assert results[0] == results[1], (n, t, r, case % 2 or mask)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_first_call_never_generates(exact, rng):
+    # a one-shot call stays on the loop however long its horizon; the next
+    # call to the program is past HOT_STEPS and runs the generated kernel
+    r = random_rates(4, rng, total=0.9, exact=exact)
+    t = probabilities.HOT_STEPS + 20
+    _clear_programs()
+    cold = (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t))
+    programs = (probabilities._table_program(4), probabilities._state_program(4, 0b101))
+    assert [prog.kernel for prog in programs] == [None, None]
+    hot = (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t))
+    assert all(prog.kernel is not None for prog in programs)
+    assert repr(hot) == repr(cold)
+
+
+def test_table_above_the_size_bound_never_generates():
+    # an n = 8 table has 4097 states plus breaks, past HOT_MAX_TERMS
+    r = RateSpec("discrete", {a: 0.1 for a in range(1, 9)})
+    _clear_programs()
+    for t in (probabilities.HOT_STEPS, 1):
+        dist_discrete_all(r, t)
+    prog = probabilities._table_program(8)
+    assert prog.steps > probabilities.HOT_STEPS
+    assert prog.kernel is None
+
+
 @st.composite
 def dyadic_matrix_cases(draw):
     """Like dyadic_cases, but the whole table and total rates below 1."""

@@ -550,13 +550,14 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
 
 
 def _paper_terms(tree, rates):
-    """The paper's formula for one tree but the horizon: the lambdas of the
-    empty state and of each distinct stump, and per cut set H, smallest
-    first, (|H| odd, its stump's index, the product of the waiting weights)."""
+    """The paper's formula for one tree but the horizon: the tree's height
+    (its most vertices on a path from the root), the lambdas of the empty
+    state and of each distinct stump, and per cut set H, smallest first,
+    (|H| odd, its stump's index, the product of the waiting weights)."""
     n = rates.n
     lams = [lam_interval(rates, [], 1, n)]
     if not tree.G:
-        return lams, []
+        return 0, lams, []
     stumps = {}
     denom = {}
     cuts = []
@@ -574,13 +575,17 @@ def _paper_terms(tree, rates):
                                          tree.lo[a], tree.hi[a])
             factor = factor * rates.rho(a) / denom[key]
         cuts.append((size & 1, stumps[stump], factor))
-    return lams, cuts
+    return max(anc.bit_count() for anc in tree._anc.values()), lams, cuts
 
 
 def _paper_prob(terms, t, exact):
     """A tree's probability at step t from its _paper_terms: the sum over
-    cut sets of sign * factor * (lambda_stump^t - lambda_empty^t)."""
-    lams, cuts = terms
+    cut sets of sign * factor * (lambda_stump^t - lambda_empty^t). A step
+    breaks each fragment at most once, so a tree deeper than t cannot be
+    matched: that is an exact 0, where the float sum leaves a residue."""
+    height, lams, cuts = terms
+    if t < height:
+        return Fraction(0) if exact else 0.0
     pows = [lam ** t for lam in lams]
     if not cuts:
         return pows[0]

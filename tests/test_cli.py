@@ -523,7 +523,7 @@ def test_package_names_resolve_lazily():
 VERIFY_N4_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=4, t in [0, 1, 2, 5, 10], max|err|=1.665e-16, recursion max|err|=1.110e-16
+pass  discrete_formula_vs_matrix       n=4, t in [0, 1, 2, 5, 10], max|err|=1.110e-16, recursion max|err|=1.110e-16
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=5.551e-17
 pass  matrix_triangular_eigenvalues    states=16, max_diag_error=0.000e+00
@@ -748,7 +748,7 @@ def test_entry_point_loads_only_what_each_command_runs(rates_file, tree_file,
 VERIFY_N5_NO_SAMPLES_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=3.476e-16, recursion max|err|=8.327e-17
+pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=1.769e-16, recursion max|err|=8.327e-17
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.665e-16
 pass  matrix_triangular_eigenvalues    states=32, max_diag_error=0.000e+00
@@ -762,7 +762,7 @@ verify: PASS
 VERIFY_N6_NO_SAMPLES_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=1.866e-15, recursion max|err|=2.776e-17
+pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=1.978e-16, recursion max|err|=2.776e-17
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.110e-16
 pass  matrix_triangular_eigenvalues    states=64, max_diag_error=0.000e+00

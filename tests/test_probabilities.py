@@ -151,8 +151,7 @@ def test_formula_vs_matrix_float(rng):
 def test_paper_route_relative_error():
     # the paper's route in floats against its exact twin, the same rates as
     # Fractions (a total of exactly 1 has none). Worst seen here: 1.3e-12.
-    # Where the tree is deeper than t, the exact value is 0 and the float
-    # one 0 or a cancellation residue
+    # Where the tree is deeper than t, both are exactly 0
     rng = random.Random(11)
     for _ in range(600):
         n = rng.randint(1, 6)
@@ -164,9 +163,31 @@ def test_paper_route_relative_error():
         p = tree_prob_discrete(tree, r, t, "direct")
         q = tree_prob_discrete(tree, twin, t, "direct")
         if q == 0:
-            assert p < 1e-15
+            assert p == 0
         else:
             assert abs(Fraction(p) - q) <= Fraction(1, 10**9) * q
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_paper_route_is_zero_below_the_tree_height(exact):
+    # a step breaks each fragment at most once, so a tree deeper than t
+    # cannot be matched yet; in floats the paper's sum left a cancellation
+    # residue for 28 of these 134 cases
+    rho = {1: Fraction(3, 10), 2: Fraction(1, 5), 3: Fraction(1, 4), 4: Fraction(3, 20)}
+    r = RateSpec("discrete", rho if exact else {a: float(v) for a, v in rho.items()})
+
+    def height(tree, a):
+        if a is None:
+            return 0
+        return 1 + max(height(tree, tree.left.get(a)), height(tree, tree.right.get(a)))
+
+    for G in _subsets(4):
+        for tree in enumerate_fragmentation_trees(G, 4):
+            h = height(tree, tree.root)
+            for t in range(h):
+                p = tree_prob_discrete(tree, r, t, "direct")
+                assert p == 0 and type(p) is (Fraction if exact else float)
+            assert tree_prob_discrete(tree, r, h, "direct") > 0
 
 
 def test_continuous_tree_sum(crates4):

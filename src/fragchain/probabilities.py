@@ -212,7 +212,9 @@ def lambda_value(rates, G, interval=None):
         lo, hi = interval.lo, interval.hi
     else:
         lo, hi = interval
-    g = sorted(G)
+    if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi + 1 <= rates.n + 1):
+        raise ValueError("the interval must be ints lo..hi inside 1..n")
+    g = sorted(_links(G, rates.n))
     if any(not lo <= a <= hi for a in g):
         raise ValueError("state must lie inside the interval")
     return lam_interval(rates, g, lo, hi)
@@ -240,9 +242,7 @@ def dist_continuous(G, rates, t):
     if rates.mode != "continuous":
         raise ValueError("dist_continuous needs continuous rates")
     _check_time(t, "continuous")
-    g = set(G)
-    if not g <= set(range(1, rates.n + 1)):
-        raise ValueError("links must lie in 1..n")
+    g = set(_links(G, rates.n))
     p = 1.0
     for a in range(1, rates.n + 1):
         r = float(rates.rho(a))
@@ -514,11 +514,16 @@ def _tree_prob(tree, rates, t):
                        rates.exact)
 
 
-def _state_mask(G, n):
-    g = set(G)
-    if any(not 1 <= a <= n for a in g):
-        raise ValueError("links must lie in 1..n")
-    return sum(1 << (a - 1) for a in g)
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _links(G, n):
+    """The links of G as a list, once each is an int in 1..n."""
+    g = list(G)
+    if not all(_is_int(a) and 1 <= a <= n for a in g):
+        raise ValueError("links must be ints in 1..n")
+    return g
 
 
 def _check_method(method):
@@ -614,11 +619,12 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
         raise ValueError("dist_discrete needs discrete rates")
     _check_time(t, "discrete")
     _check_method(method)
+    g = set(_links(G, rates.n))
     if method == "auto":
-        return _run(_state_program(rates.n, _state_mask(G, rates.n)), rates, t)[0]
+        return _run(_state_program(rates.n, sum(1 << (a - 1) for a in g)), rates, t)[0]
     from .fragments import enumerate_fragmentation_trees
 
-    trees = enumerate_fragmentation_trees(G, rates.n, budget)
+    trees = enumerate_fragmentation_trees(g, rates.n, budget)
     return _paper_dist([_paper_terms(tr, rates) for tr in trees], t,
                        rates.exact)
 
@@ -633,7 +639,7 @@ def dist_discrete_endpoints(G, rates, t):
     if rates.mode != "discrete":
         raise ValueError("dist_discrete_endpoints needs discrete rates")
     _check_time(t, "discrete")
-    g = tuple(sorted(set(G)))
+    g = tuple(sorted(set(_links(G, rates.n))))
     ends = {1, rates.n}
     if not set(g) <= ends:
         raise ValueError("endpoint formula needs G inside {1, n}")

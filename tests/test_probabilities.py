@@ -82,6 +82,31 @@ def test_lambda_rejects_outside_interval(rates5):
         lambda_value(rates5, [1], (2, 5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda r, c: dist_discrete([1.0], r, 2),
+    lambda r, c: dist_discrete([True], r, 2),
+    lambda r, c: dist_discrete([1, True], r, 2),
+    lambda r, c: dist_discrete([1.0], r, 2, method="direct"),
+    lambda r, c: dist_discrete_endpoints([True], r, 2),
+    lambda r, c: dist_continuous([1.0], c, 1.0),
+    lambda r, c: lambda_value(r, [True]),
+    lambda r, c: lambda_value(r, [], (0, 5)),
+    lambda r, c: lambda_value(r, [], (1, 6)),
+    lambda r, c: lambda_value(r, [], (1.0, 5)),
+], ids=["float link", "bool link", "bool beside its int", "float link direct",
+        "bool endpoint", "float continuous link", "bool lambda link",
+        "interval from 0", "interval past n", "float interval end"])
+def test_malformed_links_raise_value_error(call, rates5, crates4):
+    # links are ints, not bools, in 1..n, and an interval lies inside 1..n
+    with pytest.raises(ValueError):
+        call(rates5, crates4)
+
+
+def test_lambda_of_an_empty_interval_is_one(rates5):
+    for lo in range(1, 7):
+        assert lambda_value(rates5, [], (lo, lo - 1)) == 1.0
+
+
 def test_lambda_diff_routes_agree(rates5_exact, rng):
     # the float difference agrees with the exact one, which is positive
     rf = rates5_exact.as_float()

@@ -108,5 +108,18 @@ def test_corpus_keeps_its_hash():
     assert corpus_sha() == CORPUS_SHA
 
 
+def test_corpus_keeps_its_hash_through_generated_kernels(monkeypatch):
+    # with HOT_STEPS = 0 every program steps through its generated kernel
+    from fragchain import probabilities
+    generate, generated = probabilities._generate, []
+    monkeypatch.setattr(probabilities, "_generate",
+                        lambda prog: generated.append(prog) or generate(prog))
+    monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+    probabilities._cached_table_program.cache_clear()
+    probabilities._state_program.cache_clear()
+    assert corpus_sha() == CORPUS_SHA
+    assert len(generated) > 10
+
+
 if __name__ == "__main__":
     print(corpus_sha())

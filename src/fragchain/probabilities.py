@@ -334,8 +334,9 @@ def _compile(n, keys, tops):
     (mask 0) last. A rank holds arrays of the link and the two sides'
     indices: `last` has the last break of every inner state, earlier[j] the
     j-th from the lowest of every state with over j + 1 breaks, so it covers
-    a prefix of the inner states. Returns the distinct intervals, each
-    state's interval index and k, earlier, last and the indices of tops.
+    a prefix of the inner states. Returns a _Program of the distinct
+    intervals, each state's interval index and k, earlier, last and the
+    indices of tops.
     """
     keys = sorted(keys, key=lambda key: key[2].bit_count(), reverse=True)
     index = {key: i for i, key in enumerate(keys)}
@@ -515,6 +516,7 @@ def _tree_prob(tree, rates, t):
 
 
 def _is_int(x):
+    """Whether x is an int that is not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 

@@ -18,8 +18,15 @@ links. Discrete-chain probabilities have three routes:
   over its calls, about what generating costs, so a one-shot call never
   pays for it. A program of more than HOT_MAX_TERMS states plus breaks is
   never generated, as compiling takes some 3 KiB of peak memory per term
-  (12 MiB for an n = 8 table). With the root of every interval fixed the
-  recursion gives one tree's probability, by a scan over the tree's vertices;
+  (12 MiB for an n = 8 table). A hot program also keeps what its steps
+  read of the last rates it ran (the lambdas, the coefficients and the
+  stays) while it runs the same RateSpec.scaled object; that was about a
+  third of a hot n = 6 table call. The key is the object, not its value:
+  at n = 1 float and exact rates can be equal with arguments of another
+  type. It holds O(n) numbers, not the RateSpec, and only hot programs,
+  which HOT_MAX_TERMS bounds, keep any. With the root of every interval
+  fixed the recursion gives one tree's probability, by a scan over the
+  tree's vertices;
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the
   2^(|G|-1) cut sets of its edges, with the waiting-rate denominators of
@@ -358,22 +365,26 @@ def _compile(n, keys, tops):
 
 class _Program:
     """A compiled interval recursion (see _compile), the steps it has run
-    over all its calls, and once they reach HOT_STEPS its generated kernel."""
+    over all its calls, and once they reach HOT_STEPS its generated kernel
+    and, in prepared, (rates.scaled, step arguments) of the last rates run."""
 
-    __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel")
+    __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel",
+                 "prepared")
 
     def __init__(self, intervals, iv, ks, earlier, last, outs):
         self.intervals, self.iv, self.ks = intervals, iv, ks
         self.earlier, self.last, self.outs = earlier, last, outs
         self.steps = 0
         self.kernel = None
+        self.prepared = None
 
 
 def _generate(prog):
     """The program as one straight-line Python function
     kernel(t, lam, coefs, intact, f) -> f after t steps from f, with lam,
     the coefficients of each rank (earlier ones, then last) and the intact
-    stays as _run forms them, so one kernel serves every rate and horizon.
+    stays as _step_args forms them, so one kernel serves every rate and
+    horizon.
 
     Every state's value lives in a local. Each step updates the inner states
     in index order, f_i = lam_i f_i + (sum of c f' f'' over its breaks in
@@ -433,6 +444,21 @@ def _state_program(n, mask):
     return _compile(n, keys, [(1, n, mask)])
 
 
+def _step_args(prog, rates):
+    """What a program's steps read of the rates: lam = D^k (D - P_I) per
+    inner state, the coefficients D^k p(a) of each rank (earlier ones, then
+    last) and the intact stays D - P_I."""
+    iv, ks = prog.iv, prog.ks
+    D, p = rates.scaled
+    stays = [rates.scaled_stay(lo, hi) for lo, hi in prog.intervals]
+    Dk = [D ** k for k in range(max(ks) + 1)]
+    inner = len(prog.last[0])
+    lam = [Dk[ks[i]] * stays[iv[i]] for i in range(inner)]
+    coefs = [[Dk[k] * p[a] for k, a in zip(ks, links)]
+             for links, _, _ in [*prog.earlier, prog.last]]
+    return lam, coefs, [stays[iv[i]] for i in range(inner, len(ks))]
+
+
 def _run(prog, rates, t):
     """The probabilities of a program's outputs at step t.
 
@@ -440,33 +466,41 @@ def _run(prog, rates, t):
     over k links carries F = D^((k+1)u) f: F(0) = 0, F(u) = D^k (D - P_I)
     F(u-1) + sum over its breaks a of D^k p(a) F'(u-1) F''(u-1), P_I the
     sum of p over the interval, and an intact one (D - P_I)^u. Exact mode
-    runs on ints up to one Fraction per answer; float mode has D^k = 1.0.
-    All states advance together: memory is O(states) whatever t. Breaks
-    add in ascending link order, the last inside the update, as the floats
-    always did (0 + x is x for x >= 0), so they keep their bits. A hot
-    program steps through its generated kernel (_generate) instead.
+    runs on ints up to one Fraction per answer; float mode has D^k = 1.0,
+    so its F is f and needs no division. All states advance together:
+    memory is O(states) whatever t. Breaks add in ascending link order, the
+    last inside the update, as the floats always did (0 + x is x for
+    x >= 0), so they keep their bits. A hot program steps through its
+    generated kernel (_generate) instead, and keeps the step arguments of
+    the last rates it ran (_step_args) while rates.scaled is the same
+    object. The key is the object, not its value: at n = 1 the float
+    (1.0, (1, 1.0)) equals the exact (1, (1, 1)), whose arguments are ints.
+    Holding it keeps O(n) numbers alive, not the RateSpec or its sums.
+    Only hot programs keep them: they are bounded by HOT_MAX_TERMS, while
+    the cold programs kept in the caches go up to n = 12 tables.
     """
-    iv, ks, outs = prog.iv, prog.ks, prog.outs
-    D, p = rates.scaled
-    stays = [rates.scaled_stay(lo, hi) for lo, hi in prog.intervals]
-    # a state over k links reads D^k p(a) at each break a, and lam = D^k (D - P_I)
-    Dk = [D ** k for k in range(max(ks) + 1)]
-    inner = len(prog.last[0])
-    lam = [Dk[ks[i]] * stays[iv[i]] for i in range(inner)]
-    intact = [stays[iv[i]] for i in range(inner, len(ks))]
-    *ranks, (last_c, last_l, last_r) = [([Dk[k] * p[a] for k, a in zip(ks, links)], ls, rs)
-                                        for links, ls, rs in [*prog.earlier, prog.last]]
-    zeros = [0] * inner
-    f = zeros + [s ** 0 for s in intact]
+    ks, outs = prog.ks, prog.outs
+    D = rates.scaled[0]
     # a first call never generates, so one-shot programs stay on the loop;
     # generating takes some 3 KiB of peak memory per state and break
     if (prog.kernel is None and prog.steps >= HOT_STEPS
             and len(ks) + sum(ks) <= HOT_MAX_TERMS):
         prog.kernel = _generate(prog)
     prog.steps += t
-    if prog.kernel is not None:
-        f = prog.kernel(t, lam, [c for c, _, _ in ranks] + [last_c], intact, f)
+    if prog.prepared is not None and prog.prepared[0] is rates.scaled:
+        args = prog.prepared[1]
     else:
+        args = _step_args(prog, rates)
+        if prog.kernel is not None:
+            prog.prepared = rates.scaled, args
+    lam, coefs, intact = args
+    zeros = [D * 0] * len(lam)
+    f = zeros + [s ** 0 for s in intact]
+    if prog.kernel is not None:
+        f = prog.kernel(t, lam, coefs, intact, f)
+    else:
+        *ranks, (last_c, last_l, last_r) = [(c, ls, rs) for c, (_, ls, rs)
+                                            in zip(coefs, [*prog.earlier, prog.last])]
         for u in range(1, t + 1):
             # h: every break but the last, each rank over a prefix of the
             # states; with no ranks it stays all zeros and needs no copy
@@ -475,9 +509,14 @@ def _run(prog, rates, t):
                 h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
             f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
                  in zip(lam, f, h, last_c, last_l, last_r)] + [s ** u for s in intact]
-    scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
-    return [_clamp_prob(Fraction(f[i], scales[ks[i]]) if rates.exact
-                        else f[i] / scales[ks[i]], rates.exact) for i in outs]
+    if rates.exact:
+        scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
+        return [_clamp_prob(Fraction(f[i], scales[ks[i]]), True) for i in outs]
+    out = [f[i] for i in outs]
+    # validated rates give no NaN, so min and max bound every value
+    if 0.0 <= min(out) and max(out) <= 1.0:
+        return out
+    return [_clamp_prob(x, False) for x in out]
 
 
 def _tree_prob(tree, rates, t):

@@ -295,31 +295,46 @@ def child_slot_keys(tree, alpha):
 
 def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
     """One joint sample of every slot variable of the tree, bottom-up."""
-    program, rand = _slot_program(tree, rates), _random.Random(_key(seed, index)).random
+    program = _slot_program(tree, rates.as_float().scaled[1])
+    rand = _random.Random(_key(seed, index)).random
     return dict(zip(program[0], _draw_slots(program, rand)))
 
 
 @functools.lru_cache(maxsize=16)
-def _slot_program(tree, rates):
+def _slot_program(tree, p):
     """(keys, externals, internals, layout), slots numbered as in keys =
     slot_order(tree). externals: (slot, rho(J)) per nonempty external J.
     internals, bottom-up: (slot, child slots, lam_a, 1 - rho(I_a), that plus
     rho(a)). layout[a], for a vertex a or None (the root's parent): (slot
-    of a, children of a, slots of the externals anchored at a)."""
-    if tree.n != rates.n:
+    of a, children of a, slots of the externals anchored at a).
+
+    p is the float rates' RateSpec.scaled[1], rho(a) = p[a]: the program
+    reads nothing else of them, so the cache keeps no RateSpec alive, nor
+    its sums table. Runs add in link order and stays clamp at 0, as the
+    RateSpec's do, so the floats keep their bits."""
+    if tree.n != len(p) - 1:
         raise ValueError("tree and rates disagree on n")
-    ratesf = rates.as_float()
+
+    def run(lo, hi):
+        s = 0
+        for a in range(lo, hi + 1):
+            s += p[a]
+        return s
+
+    def stay(lo, hi):
+        return max(1.0 - run(lo, hi), 0.0)
+
     ext = external_slots(tree)
     keys = tuple(slot_order(tree))
     slot = {k: i for i, k in enumerate(keys)}
-    externals = tuple((slot[k], ratesf.rho_run(frag.lo, frag.hi))
-                      for k, frag in ext if not frag.empty)
+    externals = tuple((slot[k], run(frag.lo, frag.hi)) for k, frag in ext if not frag.empty)
     internals = []
     for a in tree.postorder:
         kl, kr = child_slot_keys(tree, a)
-        lam_a, law = _internal_law(tree, ratesf, a)
-        internals.append((slot["int", a], slot[kl], slot[kr], lam_a, law[EMPTY],
-                          law[EMPTY] + law[CUT]))
+        lo, hi = tree.lo[a], tree.hi[a]
+        still = stay(lo, hi)
+        internals.append((slot["int", a], slot[kl], slot[kr],
+                          stay(lo, a - 1) * stay(a + 1, hi), still, still + p[a]))
     layout = {a: (slot.get(("int", a)),
                   tuple(c for c in tree.G if tree.parent.get(c) == a),
                   tuple(slot[k] for k, _ in ext if k[1] == a))
@@ -434,7 +449,7 @@ def marginal_internal_law(tree, rates, alpha):
 def _coupled_program(tree, rates):
     if rates.mode != "discrete":
         raise ValueError("the coupled construction drives the discrete chain")
-    return _slot_program(tree, rates)
+    return _slot_program(tree, rates.as_float().scaled[1])
 
 
 def _coupled_run(program, steps, rand):

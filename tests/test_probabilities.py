@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -654,6 +656,89 @@ def test_table_above_the_size_bound_never_generates():
     prog = probabilities._table_program(8)
     assert prog.steps > probabilities.HOT_STEPS
     assert prog.kernel is None
+
+
+@pytest.mark.parametrize("n, mask", [(5, 0b10110), (1, 1)])
+def test_hot_programs_keep_only_the_last_rates_and_every_bit(n, mask, monkeypatch):
+    # two float specs and the exact twin of one alternate on one hot table
+    # program and one hot state program; each call must give the repr of
+    # the loop on a fresh program, and a repeated spec reuses its arguments.
+    # At n = 1 the float rates 1.0 and their twin have equal RateSpec.scaled
+    rng = make_rng(18)
+    floats = [random_rates(n, rng, total=0.9) for _ in range(2)]
+    if n == 1:
+        floats[0] = RateSpec("discrete", {1: 1.0})
+    twin = RateSpec("discrete", {a: Fraction(floats[0].rho(a)) for a in range(1, n + 1)})
+    specs = [floats[0], twin, floats[1]]
+    built = []
+    step_args = probabilities._step_args
+
+    def counted(prog, rates):
+        built.append(rates)
+        return step_args(prog, rates)
+
+    monkeypatch.setattr(probabilities, "_step_args", counted)
+
+    def build(kind):
+        if kind == "table":
+            return probabilities._build_table_program(n)
+        return probabilities._state_program.__wrapped__(n, mask)
+
+    hot = {kind: build(kind) for kind in ("table", "state")}
+    for rnd in range(30):
+        r, t = specs[rnd % 3 if rnd < 15 else rnd // 5 % 3], (0, 1, 5, 10)[rnd % 4]
+        for kind, prog in hot.items():
+            monkeypatch.setattr(probabilities, "HOT_STEPS", 10**9)
+            want = repr(probabilities._run(build(kind), r, t))
+            monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+            built.clear()
+            got = repr(probabilities._run(prog, r, t))
+            assert got == want, (rnd, kind)
+            assert prog.kernel is not None and prog.prepared[0] is r.scaled
+            # the second half repeats each spec five times in a row
+            assert len(built) == (rnd < 15 or rnd % 5 == 0), (rnd, kind)
+
+
+def test_hot_float_table_at_t0_returns_floats(monkeypatch):
+    monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+    r = RateSpec("discrete", {1: 0.25, 2: 0.5, 3: 0.125})
+    _clear_programs()
+    for _ in range(2):
+        values = [*dist_discrete_all(r, 0).entries.values(), dist_discrete([1, 3], r, 0)]
+        assert all(type(v) is float for v in values)
+    assert probabilities._table_program(3).prepared is not None
+
+
+def test_hot_program_keeps_no_dropped_ratespec_alive(monkeypatch):
+    monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+    _clear_programs()
+    for exact in (False, True):
+        r = random_rates(4, make_rng(3), total=Fraction(9, 10) if exact else 0.9,
+                         exact=exact)
+        dist_discrete_all(r, 5)
+        dist_discrete([2, 3], r, 5)
+        gone = weakref.ref(r)
+        del r
+        gc.collect()
+        assert gone() is None
+        assert probabilities._table_program(4).prepared is not None
+
+
+def test_hot_float_outputs_still_clamp_and_check(monkeypatch):
+    # the one-pass bound check falls back to _clamp_prob: an intact stay
+    # pushed just above 1 clamps, one past the tolerance raises
+    monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+    r = RateSpec("discrete", {1: 0.5})
+    prog = probabilities._build_table_program(1)
+    assert probabilities._run(prog, r, 1) == [0.5, 0.5]
+    lam, coefs, intact = prog.prepared[1]
+    for stay, want in ((1 + 1e-12, [1.0, 0.5]), (1 + 1e-6, None)):
+        prog.prepared = r.scaled, (lam, coefs, [stay] * len(intact))
+        if want is None:
+            with pytest.raises(ConsistencyError, match="past tolerance"):
+                probabilities._run(prog, r, 1)
+        else:
+            assert probabilities._run(prog, r, 1) == want
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -486,6 +488,46 @@ def test_exact_rates_keep_their_float_twin(ref_aux_tree, rates5_exact):
     for _ in range(2):
         estimate_tree_prob_coupled(ref_aux_tree, rates5_exact, 3, 10, seed=SEED)
     assert simulate._slot_program.cache_info().hits == 1
+
+
+def test_slot_program_reads_the_specs_floats():
+    # the program adds its own runs; they must be the spec's floats, bit for
+    # bit, or the seeded slot draws would move. The first rates add up to
+    # 1 + 2**-52 in link order, so the whole chain's stay is clamped to 0
+    rng = random.Random(31)
+    for case in range(40):
+        n = rng.randint(1, 9) if case else 4
+        r = (random_rates(n, rng, total=rng.choice([0.5, 0.9, 1.0]),
+                          exact=rng.random() < 0.3)
+             if case else RateSpec("discrete", {1: 0.2, 2: 0.4, 3: 0.3, 4: 0.1}))
+        rf = r.as_float()
+        G = sorted(rng.sample(range(1, n + 1), rng.randint(0, n))) if case else [2]
+        tree = rng.choice(enumerate_fragmentation_trees(G, n))
+        keys, externals, internals, _ = simulate._slot_program(tree, rf.scaled[1])
+        slot = {k: i for i, k in enumerate(keys)}
+        assert list(externals) == [(slot[k], rf.rho_run(f.lo, f.hi))
+                                   for k, f in external_slots(tree) if not f.empty]
+        want = []
+        for a in tree.postorder:
+            lam_a, law = simulate._internal_law(tree, rf, a)
+            want.append((lam_a, law[EMPTY], law[EMPTY] + law[CUT]))
+        assert [x[3:] for x in internals] == want
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_slot_programs_keep_no_dropped_ratespec_alive(ref_aux_tree, exact):
+    # the cache is keyed by the float rates the program reads, so it keeps
+    # neither the spec, nor its float twin, nor their sums tables
+    r = random_rates(5, random.Random(4), total=Fraction(9, 10) if exact else 0.9,
+                     exact=exact)
+    sample_aux(ref_aux_tree, r, SEED, 0)
+    coupled_construction(ref_aux_tree, r, 4, SEED, 0)
+    estimate_tree_prob_coupled(ref_aux_tree, r, 3, 10, seed=SEED)
+    gone = [weakref.ref(r), weakref.ref(r.as_float())]
+    del r
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
+    assert simulate._slot_program.cache_info().currsize > 0
 
 
 def test_coupled_respects_tree_order(rates5):

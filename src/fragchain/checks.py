@@ -10,6 +10,7 @@ import random
 import time
 
 from . import fragments, poset, probabilities as pr, simulate as sim, trees
+from .errors import _need
 
 
 def mobius_closed_vs_recursive(max_edges):
@@ -92,8 +93,7 @@ def _verify_inputs(args):
         from . import serialize
 
         rates = serialize.rates_from_dict(args.rates)
-        if rates.mode != "discrete":
-            raise ValueError("verify --rates needs discrete rates")
+        _need(rates, "discrete", "verify --rates")
     n = args.n if rates is None else rates.n
     if not 1 <= n <= pr.MATRIX_MAX_N:
         raise ValueError(f"verify needs n in 1..{pr.MATRIX_MAX_N}, got {n}")

@@ -26,7 +26,7 @@ in ascending link order.
 import functools
 import math
 
-from .errors import DEFAULT_BUDGET, BudgetError
+from .errors import DEFAULT_BUDGET, BudgetError, _links
 from .trees import RootedTree
 
 
@@ -94,11 +94,9 @@ def chain_fragments(lo, hi, removed):
 
 def fragments_of(G, n):
     """The |G|+1 fragments of the chain 1..n after removing the link set G."""
-    g = sorted(G)
+    g = sorted(_links(G, n))
     if len(set(g)) != len(g):
         raise ValueError("duplicate links")
-    if g and not (1 <= g[0] and g[-1] <= n):
-        raise ValueError("links must lie in 1..n")
     return chain_fragments(1, n, g)
 
 
@@ -134,8 +132,7 @@ class FragTree(RootedTree):
             self._key = (n, ())
             self._externals = [Fragment(1, n, vertex=None, side="root")]
             return
-        if not 1 <= root <= n:
-            raise ValueError("root link outside the chain")
+        _links([root, *(c for m in (left, right) for c in m.values() if c is not None)], n)
         lo, hi = {}, {}
         order = []
         edges = []
@@ -251,9 +248,7 @@ def enumerate_fragmentation_trees(G, n, budget=DEFAULT_BUDGET):
     recursively. Rejects G whose full-distribution term count
     catalan(|G|) * 2^(|G|-1) exceeds the budget.
     """
-    g = tuple(sorted(set(G)))
-    if g and (g[0] < 1 or g[-1] > n):
-        raise ValueError("links must lie in 1..n")
+    g = tuple(sorted(set(_links(G, n))))
     m = len(g)
     cost = catalan(m) * (1 << max(m - 1, 0))
     if cost > budget:

@@ -58,7 +58,7 @@ from itertools import accumulate
 from fractions import Fraction
 
 # fragments is imported where it is used: the interval recursion needs none
-from .errors import DEFAULT_BUDGET, ConsistencyError
+from .errors import DEFAULT_BUDGET, ConsistencyError, _is_int, _links, _need
 
 MATRIX_MAX_N = 12
 GENERATOR_MAX_N = 10
@@ -94,8 +94,8 @@ class RateSpec:
             raise ValueError("rates must cover links 1..n exactly")
         self.exact = all(isinstance(v, (int, Fraction)) for v in rho.values())
         for k, v in rho.items():
-            if not v > 0:
-                raise ValueError(f"rate of link {k} must be strictly positive")
+            if isinstance(v, bool) or not v > 0:
+                raise ValueError(f"rate of link {k} must be a strictly positive number")
         p = [rho[a] for a in range(1, n + 1)]
         D = math.lcm(*(v.denominator for v in p)) if self.exact else 1.0
         p = [v.numerator * (D // v.denominator) for v in p] if self.exact else p
@@ -209,8 +209,7 @@ def lam_interval(rates, removed, lo, hi):
 def lambda_value(rates, G, interval=None):
     """Public lambda: no-change probability of one step from state G inside
     the interval (defaults to the whole chain). Discrete mode only."""
-    if rates.mode != "discrete":
-        raise ValueError("lambda is a discrete-chain quantity")
+    _need(rates, "discrete", "the discrete-chain lambda")
     from .fragments import Fragment
 
     if interval is None:
@@ -232,8 +231,7 @@ def lambda_diff(rates, removed, lo, hi):
     the two no-change probabilities (the whole-interval one unclamped).
     Discrete mode only. The value is strictly positive for nonempty removed
     sets under valid rates; a nonpositive result raises ConsistencyError."""
-    if rates.mode != "discrete":
-        raise ValueError("lambda is a discrete-chain quantity")
+    _need(rates, "discrete", "the discrete-chain lambda")
     val = lam_interval(rates, removed, lo, hi) - (1 - rates.rho_run(lo, hi))
     if removed and not val > 0:
         raise ConsistencyError(
@@ -246,27 +244,13 @@ def lambda_diff(rates, removed, lo, hi):
 
 def dist_continuous(G, rates, t):
     """P(state = G at time t) for the continuous chain, closed form."""
-    if rates.mode != "continuous":
-        raise ValueError("dist_continuous needs continuous rates")
-    _check_time(t, "continuous")
+    _need(rates, "continuous", "dist_continuous", t)
     g = set(_links(G, rates.n))
     p = 1.0
     for a in range(1, rates.n + 1):
         r = float(rates.rho(a))
         p *= -math.expm1(-r * t) if a in g else math.exp(-r * t)
     return p
-
-
-def _check_time(t, mode):
-    """t, if it is a time of the chain in this mode; a float if continuous."""
-    if mode == "discrete":
-        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-            raise ValueError("discrete time must be a nonnegative integer")
-    else:
-        t = float(t)
-        if not (t >= 0 and math.isfinite(t)):
-            raise ValueError("time must be nonnegative and finite")
-    return t
 
 
 def _edge_submasks_by_size(tree):
@@ -301,12 +285,8 @@ def tree_prob_continuous(tree, rates, t):
     rate of alpha's component. Summed smallest-H first with compensated
     accumulation, then verified and clamped to [0, 1].
     """
-    if rates.mode != "continuous":
-        raise ValueError("tree_prob_continuous needs continuous rates")
-    t = _check_time(t, "continuous")
+    t = _need(rates, "continuous", "tree_prob_continuous", t, tree)
     n = rates.n
-    if tree.n != n:
-        raise ValueError("tree and rates disagree on n")
     total_f = float(rates.rho_run(1, n))
     if not tree.G:
         return math.exp(-total_f * t)
@@ -554,19 +534,6 @@ def _tree_prob(tree, rates, t):
                        rates.exact)
 
 
-def _is_int(x):
-    """Whether x is an int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _links(G, n):
-    """The links of G as a list, once each is an int in 1..n."""
-    g = list(G)
-    if not all(_is_int(a) and 1 <= a <= n for a in g):
-        raise ValueError("links must be ints in 1..n")
-    return g
-
-
 def _check_method(method):
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
@@ -584,12 +551,8 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     (see lambda_diff). Exact in rational mode; compensated float sum
     otherwise.
     """
-    if rates.mode != "discrete":
-        raise ValueError("tree_prob_discrete needs discrete rates")
-    _check_time(t, "discrete")
+    _need(rates, "discrete", "tree_prob_discrete", t, tree)
     _check_method(method)
-    if tree.n != rates.n:
-        raise ValueError("tree and rates disagree on n")
     if method == "auto":
         return _tree_prob(tree, rates, t)
     return _paper_prob(_paper_terms(tree, rates), t, rates.exact)
@@ -656,9 +619,7 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     probabilities of all fragmentation trees of G by the paper's formula;
     only it is subject to the budget.
     """
-    if rates.mode != "discrete":
-        raise ValueError("dist_discrete needs discrete rates")
-    _check_time(t, "discrete")
+    _need(rates, "discrete", "dist_discrete", t)
     _check_method(method)
     g = set(_links(G, rates.n))
     if method == "auto":
@@ -677,9 +638,7 @@ def dist_discrete_endpoints(G, rates, t):
     (lambda^L_H)^t, and inclusion-exclusion gives
     P = sum over H of (-1)^{|G|-|H|} (lambda^L_H)^t. Rejects other G.
     """
-    if rates.mode != "discrete":
-        raise ValueError("dist_discrete_endpoints needs discrete rates")
-    _check_time(t, "discrete")
+    _need(rates, "discrete", "dist_discrete_endpoints", t)
     g = tuple(sorted(set(_links(G, rates.n))))
     ends = {1, rates.n}
     if not set(g) <= ends:
@@ -732,6 +691,8 @@ def _state_keys(n):
     """The 2^n states as sorted link tuples, indexed by bitmask (bit a-1 =
     link a). Kept for the last n asked, so tables of one chain share their
     keys instead of each holding 2^n fresh tuples."""
+    if n > 20:
+        raise ValueError("full tables are limited to n <= 20")
     return tuple(tuple(_state_links(m)) for m in range(1 << n))
 
 
@@ -739,11 +700,7 @@ def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
     """Full DistTable over every subset of 1..n. "auto" runs one interval
     recursion program for all states at once; "direct" evaluates the
     paper's formula state by state."""
-    if rates.n > 20:
-        raise ValueError("full tables are limited to n <= 20")
-    if rates.mode != "discrete":
-        raise ValueError("dist_discrete_all needs discrete rates")
-    _check_time(t, "discrete")
+    _need(rates, "discrete", "dist_discrete_all", t)
     keys = _state_keys(rates.n)
     if method == "auto":
         entries = dict(zip(keys, _run(_table_program(rates.n), rates, t)))
@@ -754,8 +711,6 @@ def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
 
 def dist_continuous_all(rates, t):
     """Full DistTable over every subset of 1..n by the closed form."""
-    if rates.n > 20:
-        raise ValueError("full tables are limited to n <= 20")
     entries = {G: dist_continuous(G, rates, t) for G in _state_keys(rates.n)}
     return DistTable("continuous", t, entries)
 
@@ -783,8 +738,7 @@ def transition_rows(rates):
     construction multiplies factors in fragment order, so diagonal entries
     are bit-identical to lam_interval in float mode and equal in exact mode.
     """
-    if rates.mode != "discrete":
-        raise ValueError("transition_rows needs discrete rates")
+    _need(rates, "discrete", "transition_rows")
     n = rates.n
     if n > MATRIX_MAX_N:
         raise ValueError(f"transition matrix limited to n <= {MATRIX_MAX_N}")
@@ -818,7 +772,7 @@ def transition_matrix_dist(rates, t):
     the row of the empty state of the t-th power, as t sparse vector-matrix
     products in the rates' own arithmetic (exact in rational mode).
     Independent oracle for dist_discrete."""
-    _check_time(t, "discrete")
+    _need(rates, "discrete", "transition_matrix_dist", t)
     rows = transition_rows(rates)
     zero = rates.one * 0
     v = {0: rates.one}
@@ -835,9 +789,7 @@ def generator_matrix_dist(rates, t):
     Poisson(x) weights, formed in log space, times the row of (I + Q/L)^k.
     Every term is nonnegative, so the floats stay accurate in relative terms.
     Independent oracle for dist_continuous."""
-    if rates.mode != "continuous":
-        raise ValueError("generator_matrix_dist needs continuous rates")
-    _check_time(t, "continuous")
+    _need(rates, "continuous", "generator_matrix_dist", t)
     n = rates.n
     if n > GENERATOR_MAX_N:
         raise ValueError(f"generator matrix limited to n <= {GENERATOR_MAX_N}")

@@ -15,6 +15,8 @@ import json
 import os
 from fractions import Fraction
 
+from .errors import _is_int, _links
+
 
 def _load_json(source, parse_float=float):
     """The JSON object of a file name, an open file or a dict; any other
@@ -43,13 +45,6 @@ def _edges(d):
     return [_pair(e, "an edge") for e in edges]
 
 
-def _link(v):
-    """A link label of a fragmentation tree file."""
-    if not isinstance(v, int):
-        raise ValueError(f"links must be integers, got {v!r}")
-    return v
-
-
 # -- trees -------------------------------------------------------------------
 
 
@@ -63,13 +58,13 @@ def fragtree_from_dict(source):
     from .fragments import FragTree
 
     d = _load_json(source)
-    lo, n = map(_link, _pair(d["links"], '"links"'))
-    if lo != 1:
-        raise ValueError("links must start at 1")
-    root = None if d["root"] is None else _link(d["root"])
+    lo, n = _pair(d["links"], '"links"')
+    if not (_is_int(lo) and _is_int(n) and lo == 1):
+        raise ValueError(f'"links" must be [1, n] with n an integer, got {d["links"]!r}')
+    root = None if d["root"] is None else _links([d["root"]], n)[0]
     left, right = {}, {}
     for e in _edges(d):
-        p, c = map(_link, e)
+        p, c = _links(e, n)
         side = left if c < p else right
         if p in side:
             raise ValueError(f"vertex {p} has two children on one side")
@@ -94,7 +89,8 @@ def rootedtree_from_dict(source):
 
     d = _load_json(source)
     edges = [tuple(e) for e in _edges(d)]
-    bad = [v for e in [(d["root"],)] + edges for v in e if not isinstance(v, (int, str))]
+    bad = [v for e in [(d["root"],)] + edges for v in e
+           if not (_is_int(v) or isinstance(v, str))]
     if bad:
         raise ValueError(f"vertex labels must be integers or strings, got {bad[0]!r}")
     return RootedTree(d["root"], edges)
@@ -123,11 +119,11 @@ def rates_from_dict(source, exact=False):
     d = _load_json(source, parse_float=Fraction if exact else float)
     rho = d["rho"]
     if not (isinstance(rho, dict) and all(
-            isinstance(v, (int, float, Fraction, str)) for v in rho.values())):
+            _is_int(v) or isinstance(v, (float, Fraction, str)) for v in rho.values())):
         raise ValueError('"rho" must map each link to a number')
     conv = _to_exact if exact else _parse_number
     spec = RateSpec(d["mode"], {int(k): conv(v) for k, v in rho.items()})
-    if "n" in d and (type(d["n"]) is not int or d["n"] != spec.n):
+    if "n" in d and (not _is_int(d["n"]) or d["n"] != spec.n):
         raise ValueError(f'declared n {d["n"]!r} is not the {spec.n} links of "rho"')
     return spec
 

@@ -14,10 +14,12 @@ Each sampler is one per-trajectory kernel. An estimator loops over its
 range of keys, reseeding one C generator (_random.Random, whose seed builds
 the state Random(key) does) and calling the kernel; a public sampler runs
 the kernel once on a fresh generator, so concurrent callers share none.
-The discrete kernel bisects the float rates' running sums (RateSpec.sums)
-and returns the matched tree as an integer code. A batch counts codes and
-decodes each distinct one once, cheap while trajectories share trees (short
-chains) and codes stay a word or two. tests/test_simulate.py pins the streams.
+Both batch kernels return the matched tree as one integer code: the
+discrete one as it breaks links, bisecting the float rates' running sums
+(RateSpec.sums), the continuous one by a Cartesian-tree pass over its
+removal times. A batch counts codes and decodes each distinct one once,
+cheap while trajectories share trees (short chains) and codes stay a word
+or two. tests/test_simulate.py pins the streams.
 """
 
 import _random
@@ -28,7 +30,7 @@ import math
 import random
 from bisect import bisect_right
 
-from .probabilities import _check_time
+from .errors import _is_int, _links, _need
 
 #: documented default seed for every CLI entry point and helper
 DEFAULT_SEED = 1729
@@ -36,14 +38,10 @@ DEFAULT_SEED = 1729
 INF = math.inf
 
 
-def _whole(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _key(seed, index):
     """Random's seed for one trajectory. A negative seed (Random seeds with
     |key|), an index past 64 bits or a non-int would replay another stream."""
-    if not (_whole(seed) and _whole(index) and seed >= 0 and 0 <= index < 1 << 64):
+    if not (_is_int(seed) and _is_int(index) and seed >= 0 and 0 <= index < 1 << 64):
         raise ValueError(f"need int seed >= 0 and index < 2**64, got {seed!r}, {index!r}")
     return (seed << 64) + index
 
@@ -56,7 +54,7 @@ def substream(seed, index=0):
 def _keyed(seed, samples):
     """The keys of substream (seed, i) for i < samples, and the seed and
     random methods of one fresh C generator to draw them."""
-    if not _whole(samples) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     gen = _random.Random()
     return range(_key(seed, 0), _key(seed, samples - 1) + 1), gen.seed, gen.random
@@ -91,6 +89,15 @@ def _within(t, horizon):
     if t > horizon:
         raise ValueError("time beyond the simulated horizon")
     return horizon
+
+
+def _horizon(rates, mode, what, t, tree=None):
+    """A batch's gate: the horizon of time t, in discrete time the steps up
+    to t, which must reach t (the state at 2.5 lies past 2 steps)."""
+    if mode == "continuous":
+        return _need(rates, mode, what, t, tree)
+    whole = isinstance(t, float) and math.isfinite(t)
+    return _within(t, _need(rates, mode, what, math.floor(t) if whole else t, tree))
 
 
 def _discrete_run(sums, n, steps, rand, times=None):
@@ -135,30 +142,27 @@ def _decode(code, n):
 
 def simulate_discrete(rates, t_max, seed=DEFAULT_SEED, index=0):
     """One trajectory of the discrete chain up to step t_max."""
-    if rates.mode != "discrete":
-        raise ValueError("simulate_discrete needs discrete rates")
-    steps = _check_time(t_max, "discrete")
+    steps = _need(rates, "discrete", "simulate_discrete", t_max)
     rand = _random.Random(_key(seed, index)).random
     times = dict.fromkeys(range(1, rates.n + 1), INF)
     _discrete_run(rates.as_float().sums, rates.n, steps, rand, times)
     return Trajectory("discrete", rates.n, steps, times)
 
 
-def _continuous_run(rho, t_max, rand):
-    """{link: removal time}, exponentials of the float rates rho censored past t_max."""
-    taus = [-math.log1p(-rand()) / r for r in rho]
-    return {a: tau if tau <= t_max else INF for a, tau in enumerate(taus, 1)}
+def _continuous_run(rho, rand):
+    """The removal times of links 1..n, exponentials of the float rates rho."""
+    return [-math.log1p(-rand()) / r for r in rho]
 
 
 def simulate_continuous(rates, t_max, seed=DEFAULT_SEED, index=0):
     """One trajectory of the continuous chain: every link gets an independent
     exponential removal time up front, censored past t_max."""
-    if rates.mode != "continuous":
-        raise ValueError("simulate_continuous needs continuous rates")
+    t_max = _need(rates, "continuous", "simulate_continuous", t_max)
     rand = _random.Random(_key(seed, index)).random
     rho = [float(rates.rho(a)) for a in range(1, rates.n + 1)]
-    t_max = _check_time(t_max, "continuous")
-    return Trajectory("continuous", rates.n, t_max, _continuous_run(rho, t_max, rand))
+    taus = _continuous_run(rho, rand)
+    return Trajectory("continuous", rates.n, t_max,
+                      {a: tau if tau <= t_max else INF for a, tau in enumerate(taus, 1)})
 
 
 def matches_tree(traj, tree, t):
@@ -175,34 +179,37 @@ def matches_tree(traj, tree, t):
     return True
 
 
-def _tree_parents(tau, state):
-    """Parents (None for the root) of the sorted state's links in the tree
-    the removal times tau match, whose root is the earliest-broken link of
-    each interval: the Cartesian tree of the times, built in one stack pass.
-    Ties inside an interval are ambiguous and raise; neither chain makes
-    them, since a fragment breaks at most one link per step."""
-    parents = [None] * len(state)
-    stack = []  # positions on the right spine, earliest-broken at the bottom
-    for k, a in enumerate(state):
+def _tree_code(tau, t):
+    """The code, as _discrete_run's, of the tree that the removal times tau
+    of links 1..n match at time t, whose root is the earliest-broken link of
+    each interval: the Cartesian tree of the times up to t, built in one
+    stack pass. Ties inside an interval are ambiguous and raise; neither
+    chain makes them, since a fragment breaks at most one link per step."""
+    width = (len(tau) + 1).bit_length()
+    code, stack = 0, []  # (time, link) on the right spine, earliest at the bottom
+    for a, x in enumerate(tau, 1):
+        if x > t:
+            continue
         last = None
-        while stack and tau[state[stack[-1]]] > tau[a]:
-            last = stack.pop()
-        if stack and tau[state[stack[-1]]] == tau[a]:
+        while stack and stack[-1][0] > x:
+            last = stack.pop()[1]
+        top = stack[-1][1] if stack else 0  # a's parent for now; 0 for the root
+        if top and stack[-1][0] == x:
             raise ValueError("tied removal times inside one fragment")
-        if last is not None:
-            parents[last] = a
-        if stack:
-            parents[k] = state[stack[-1]]
-        stack.append(k)
-    return parents
+        if last is not None:  # last's parent moves from top to a
+            code += (a - top) << width * (last - 1)
+        code += (top + 1) << width * (a - 1)
+        stack.append((x, a))
+    return code
 
 
 def classify_tree(traj, t):
     """The unique fragmentation tree the trajectory matches at time t."""
     from .fragments import FragTree
 
-    state = sorted(traj.removed_at(t))
-    pairs = list(zip(state, _tree_parents(traj.removal_time, state)))
+    _within(t, traj.horizon)
+    tau = traj.removal_time
+    pairs = _decode(_tree_code([tau[a] for a in range(1, traj.n + 1)], t), traj.n)
     root = next((a for a, p in pairs if p is None), None)
     left = {p: a for a, p in pairs if p is not None and a < p}
     right = {p: a for a, p in pairs if p is not None and a > p}
@@ -226,19 +233,17 @@ def estimate_tree_prob(tree, rates, t, samples, seed=DEFAULT_SEED):
     trajectory matches when the tree it matches, keyed as in
     batch_tree_counts, is this one, which is matches_tree.
     """
-    if tree.n != rates.n:
-        raise ValueError("tree and rates disagree on n")
+    _need(rates, rates.mode, "estimate_tree_prob", tree=tree)
     hits = batch_tree_counts(rates, t, samples, seed).get(tree.structure_key(), 0)
     return _estimate(hits, samples)
 
 
 def estimate_state_prob(G, rates, t, samples, seed=DEFAULT_SEED):
     """Monte Carlo estimate of P(state = G at time t), same conventions."""
-    if any(not 1 <= a <= rates.n for a in G):
-        raise ValueError("links must lie in 1..n")
+    g = set(_links(G, rates.n))
     counts = batch_tree_counts(rates, t, samples, seed)
     return _estimate(sum(c for (_, pairs), c in counts.items()
-                         if {a for a, _ in pairs} == set(G)), samples)
+                         if {a for a, _ in pairs} == g), samples)
 
 
 def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
@@ -246,24 +251,19 @@ def batch_tree_counts(rates, t, samples, seed=DEFAULT_SEED):
     structure_key(), in order of first match. One batch covers every
     (state, tree) pair at once."""
     keys, reseed, rand = _keyed(seed, samples)
-    ratesf, counts = rates.as_float(), collections.defaultdict(int)
+    horizon = _horizon(rates, rates.mode, "batch_tree_counts", t)
+    ratesf, n, counts = rates.as_float(), rates.n, collections.defaultdict(int)
     if rates.mode == "discrete":
-        sums, n = ratesf.sums, rates.n
-        horizon = _within(t, _check_time(math.floor(t), "discrete"))
+        sums = ratesf.sums
         for key in keys:
             reseed(key)
             counts[_discrete_run(sums, n, horizon, rand)] += 1
-        decode = functools.partial(_decode, n=n)
     else:
-        rho = [ratesf.rho(a) for a in range(1, rates.n + 1)]
-        horizon = _within(t, _check_time(t, "continuous"))
+        rho = [ratesf.rho(a) for a in range(1, n + 1)]
         for key in keys:
             reseed(key)
-            tau = _continuous_run(rho, horizon, rand)
-            state = [a for a, x in tau.items() if x <= t]
-            counts[tuple(zip(state, _tree_parents(tau, state)))] += 1
-        decode = tuple
-    return {_interned((rates.n, decode(key))): c for key, c in counts.items()}
+            counts[_tree_code(_continuous_run(rho, rand), horizon)] += 1
+    return {_interned((n, _decode(code, n))): c for code, c in counts.items()}
 
 
 # -- auxiliary slot process --------------------------------------------------
@@ -295,6 +295,7 @@ def child_slot_keys(tree, alpha):
 
 def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
     """One joint sample of every slot variable of the tree, bottom-up."""
+    _need(rates, "discrete", "the auxiliary slot process", tree=tree)
     program = _slot_program(tree, rates.as_float().scaled[1])
     rand = _random.Random(_key(seed, index)).random
     return dict(zip(program[0], _draw_slots(program, rand)))
@@ -311,9 +312,7 @@ def _slot_program(tree, p):
     p is the float rates' RateSpec.scaled[1], rho(a) = p[a]: the program
     reads nothing else of them, so the cache keeps no RateSpec alive, nor
     its sums table. Runs add in link order and stays clamp at 0, as the
-    RateSpec's do, so the floats keep their bits."""
-    if tree.n != len(p) - 1:
-        raise ValueError("tree and rates disagree on n")
+    RateSpec's do, so the floats keep their bits. Its callers check n."""
 
     def run(lo, hi):
         s = 0
@@ -389,6 +388,7 @@ def enumerate_atoms(tree):
 def atom_probability(tree, rates, atom):
     """Probability of one joint slot assignment, multiplying the conditional
     law of each slot given its children (the sampling order)."""
+    _need(rates, "discrete", "the auxiliary slot process", tree=tree)
     p = rates.one
     for key, frag in external_slots(tree):  # an empty run has rho 0 and stay 1
         law = {EMPTY: rates.stay(frag.lo, frag.hi), FIRE: rates.rho_run(frag.lo, frag.hi)}
@@ -440,16 +440,11 @@ def _internal_law(tree, rates, alpha):
 def marginal_internal_law(tree, rates, alpha):
     """The four-point marginal law of an internal slot:
     (EMPTY, CUT, DEP, IND) probabilities."""
+    _need(rates, "discrete", "the auxiliary slot process", tree=tree)
     return _internal_law(tree, rates, alpha)[1]
 
 
 # -- coupled construction ----------------------------------------------------
-
-
-def _coupled_program(tree, rates):
-    if rates.mode != "discrete":
-        raise ValueError("the coupled construction drives the discrete chain")
-    return _slot_program(tree, rates.as_float().scaled[1])
 
 
 def _coupled_run(program, steps, rand):
@@ -489,9 +484,10 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     removals from the failing step are applied, and the offending link is
     never resolved. Returns (Trajectory, failure_step or None).
     """
-    program = _coupled_program(tree, rates)
+    steps = _need(rates, "discrete", "the coupled construction", t_max, tree)
+    program = _slot_program(tree, rates.as_float().scaled[1])
     rand = _random.Random(_key(seed, index)).random
-    removed, failure = _coupled_run(program, _check_time(t_max, "discrete"), rand)
+    removed, failure = _coupled_run(program, steps, rand)
     times = {a: removed.get(a, INF) for a in range(1, tree.n + 1)}
     return Trajectory("discrete", tree.n, t_max, times), failure
 
@@ -500,8 +496,8 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     """Matching-probability estimate from the coupled construction: a
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
-    program = _coupled_program(tree, rates.as_float())
-    steps, size = _within(t, _check_time(math.floor(t), "discrete")), len(tree.G)
+    steps = _horizon(rates, "discrete", "the coupled construction", t, tree)
+    program, size = _slot_program(tree, rates.as_float().scaled[1]), len(tree.G)
     keys, reseed, rand = _keyed(seed, samples)
     hits = 0
     for key in keys:

@@ -19,6 +19,8 @@ Internally subsets of vertices are bitmasks over a fixed vertex order
 
 from functools import cached_property, lru_cache
 
+from .errors import _is_int
+
 
 class RootedTree:
     """A finite rooted tree with ordered children.
@@ -94,7 +96,7 @@ class RootedTree:
     # -- mask plumbing ---------------------------------------------------
 
     def vertex_mask(self, vs):
-        if isinstance(vs, int) and not isinstance(vs, bool):
+        if _is_int(vs):
             if vs & ~self.all_mask:
                 raise ValueError("mask has bits outside the vertex set")
             return vs

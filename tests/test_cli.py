@@ -635,6 +635,43 @@ def test_rooted_tree_file_with_bad_label_exits_2(content, tmp_path, capsys):
     assert len(lines) == 2 and all(line.startswith("error:") for line in lines)
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+def test_bool_rate_in_rates_file_exits_2(exact, tmp_path, capsys):
+    # a JSON true would be read as the rate 1
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"mode": "discrete", "rho": {"1": True}}))
+    assert run(["dist", "--rates", str(p), "--time", "2"] + exact) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    {"links": [1, 5], "root": True, "edges": []},
+    {"links": [True, 5], "root": 2, "edges": []},
+    {"links": [1, 5], "root": 2, "edges": [[2, True]]},
+], ids=["root", "links", "edge"])
+def test_bool_label_in_fragtree_file_exits_2(content, rates_file, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(content))
+    assert run(["treeprob", "--rates", rates_file, "--time", "2", "--tree", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_bool_label_in_rooted_tree_file_exits_2(tmp_path, capsys):
+    # true would answer to the label 1
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"root": 0, "edges": [[0, True], [0, 2]]}))
+    for args in (["poset"], ["mobius", "--from", "1,2", "--to", ""]):
+        assert run(args + ["--tree", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error:") for line in lines)
+
+
 def test_verify_single_link_passes(capsys):
     # with one link at total rate 1 the tree of {1} has probability 1
     # exactly; its z-score is skipped like that of a tree below 1e-3

@@ -125,6 +125,22 @@ def test_enumeration_rejects_bad_links():
         enumerate_fragmentation_trees([7], 6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FragTree(3, 1.5),
+    lambda: FragTree(3, True),
+    lambda: FragTree(3, 2, {2: True}),
+    lambda: enumerate_fragmentation_trees([1.5], 3),
+    lambda: enumerate_fragmentation_trees([True], 3),
+    lambda: fragments_of([True], 3),
+    lambda: fragments_of([2.5], 3),
+], ids=["root 1.5", "root True", "child True", "enumerate 1.5", "enumerate True",
+        "fragments_of True", "fragments_of 2.5"])
+def test_links_that_are_not_ints_are_rejected(call):
+    # a bool or a float would stand for a link it equals, or for none
+    with pytest.raises(ValueError, match="links must lie in 1..n"):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(subsets_st(max_n=7))
 def test_enumeration_properties(Gn):

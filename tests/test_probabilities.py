@@ -46,6 +46,14 @@ def test_ratespec_rejects_rates_not_finite_as_floats(rho):
         RateSpec("continuous", rho)
 
 
+def test_ratespec_rejects_bool_rates():
+    # True is an int, so it would pass as the exact rate 1
+    with pytest.raises(ValueError):
+        RateSpec("discrete", {1: True})
+    with pytest.raises(ValueError):
+        RateSpec("continuous", {1: 0.5, 2: True})
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_ratespec_run_sums_and_stays(exact):
     r = random_rates(6, make_rng(), total=1.0, exact=exact)

@@ -193,6 +193,39 @@ def test_batch_counts_are_the_per_index_trees_on_long_chains(n):
             assert list(batch_tree_counts(rates, t, samples, 11).items()) == list(want.items())
 
 
+@pytest.mark.parametrize("n", [5, 12, 16])
+def test_continuous_batch_counts_are_the_earliest_break_trees(n):
+    # a continuous batch counts integer tree codes, which classify_tree
+    # decodes too; here each key comes from the definition instead: the
+    # root of every interval is its earliest-broken link
+    rates = random_rates(n, random.Random(n), mode="continuous")
+    for t, samples in ((0.3, 200), (1.0, 300), (3.0, 300)):
+        want = {}
+        for i in range(samples):
+            tau, pairs = simulate_continuous(rates, t, 11, i).removal_time, []
+
+            def build(lo, hi, parent):
+                broken = [a for a in range(lo, hi + 1) if tau[a] <= t]
+                if broken:
+                    a = min(broken, key=tau.get)
+                    pairs.append((a, parent))
+                    build(lo, a - 1, a)
+                    build(a + 1, hi, a)
+
+            build(1, n, None)
+            key = (n, tuple(sorted(pairs)))
+            want[key] = want.get(key, 0) + 1
+        assert list(batch_tree_counts(rates, t, samples, 11).items()) == list(want.items())
+
+
+def test_continuous_batch_takes_any_real_time(crates4):
+    # the closed form takes t = 1/3, and so does a batch, whose horizon is
+    # the float of t: 1/3 lies above that float, yet not past the horizon
+    t = Fraction(1, 3)
+    assert dist_continuous([1], crates4, t) == dist_continuous([1], crates4, float(t))
+    assert batch_tree_counts(crates4, t, 200, 3) == batch_tree_counts(crates4, float(t), 200, 3)
+
+
 @st.composite
 def mc_cases_st(draw):
     """Rates on n <= 6 links, discrete ones summing to at most exactly 1,
@@ -414,6 +447,36 @@ def test_state_estimate_rejects_links_outside_the_chain_before_sampling(rates5):
         for t in (3, 2.5):
             with pytest.raises(ValueError, match="links must lie in 1..n"):
                 estimate_state_prob(G, rates5, t, 100, 1)
+
+
+def test_state_estimate_rejects_links_that_are_not_ints(rates5):
+    # True would count the trajectories at link 1, and 2.5 none at all
+    for G in ([True], [2.5], [1, 2.0]):
+        with pytest.raises(ValueError, match="links must lie in 1..n"):
+            estimate_state_prob(G, rates5, 3, 100, 1)
+
+
+def test_discrete_batches_reject_times_that_are_not_finite(rates5):
+    # inf and nan have no step count; they fail like any other bad time
+    tree = FragTree(5, 2)
+    for t in (math.inf, math.nan):
+        for call in (lambda: batch_tree_counts(rates5, t, 5, 1),
+                     lambda: estimate_tree_prob_coupled(tree, rates5, t, 5, 1)):
+            with pytest.raises(ValueError, match="time must be"):
+                call()
+
+
+def test_slot_laws_reject_continuous_rates(crates4):
+    # exponential rates are not per-step probabilities: the marginal law
+    # would sum to 3.28, and an atom's probability divide by a zero stay
+    tree = FragTree(4, 2)
+    atom = enumerate_atoms(tree)[0]
+    for call in (lambda: sample_aux(tree, crates4),
+                 lambda: marginal_internal_law(tree, crates4, 2),
+                 lambda: atom_probability(tree, crates4, atom),
+                 lambda: support_atoms(tree, crates4)):
+        with pytest.raises(ValueError, match="needs discrete rates"):
+            call()
 
 
 def test_sampled_atoms_are_structural_and_consistent(ref_aux_tree, rates5):

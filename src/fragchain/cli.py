@@ -34,13 +34,21 @@ def _parse_links(text):
     return links
 
 
-def _parse_labels(text):
+def _parse_labels(text, tree):
+    """Vertex labels of a tree: a token names the one vertex whose str() it
+    is, if exactly one has it, and is otherwise read as an int when it has
+    only digits, so "01" names the int vertex 1."""
+    vertices = getattr(tree, "vertices", ())  # the empty tree has none
+    names = [str(v) for v in vertices]
     out = []
     for x in text.split(","):
         x = x.strip()
         if not x:
             continue
-        out.append(int(x) if x.lstrip("-").isdigit() else x)
+        if names.count(x) == 1:
+            out.append(vertices[names.index(x)])
+        else:
+            out.append(int(x) if x.lstrip("-").isdigit() else x)
     return out
 
 
@@ -172,17 +180,18 @@ def cmd_poset(args):
     tree = _load_tree_any(args.tree)
     if args.interval is not None:
         htext, _, ktext = args.interval.partition(":")
-        members = poset.interval(tree, _parse_labels(htext), _parse_labels(ktext))
+        members = poset.interval(tree, _parse_labels(htext, tree),
+                                 _parse_labels(ktext, tree))
         for m in members:
             print(serialize.edge_set_label(m))
         return 0
     if args.factorize is not None:
-        for f in poset.product_factorization(tree, _parse_labels(args.factorize)):
+        for f in poset.product_factorization(tree, _parse_labels(args.factorize, tree)):
             print(serialize.edge_set_label(f))
         return 0
     if args.dot:
         highlight = (None if args.highlight is None
-                     else _parse_labels(args.highlight))
+                     else _parse_labels(args.highlight, tree))
         _write_out(args.out, serialize.hasse_to_dot(
             tree, highlight_from=highlight, max_edges=args.max_edges))
         return 0
@@ -202,8 +211,8 @@ def cmd_mobius(args):
     from . import poset
 
     tree = _load_tree_any(args.tree)
-    H = _parse_labels(getattr(args, "from"))
-    K = _parse_labels(args.to)
+    H = _parse_labels(getattr(args, "from"), tree)
+    K = _parse_labels(args.to, tree)
     if args.recursive:
         print(poset.mobius_recursive(tree, H, K))
         return 0

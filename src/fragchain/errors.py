@@ -27,6 +27,13 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _chain_n(n):
+    """n, once it is the link count of a chain: an int of at least 1."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"a chain needs an int n of at least 1 link, got {n!r}")
+    return n
+
+
 def _links(G, n):
     """The links of G as a list, once each is an int in 1..n."""
     g = list(G)

@@ -26,7 +26,7 @@ in ascending link order.
 import functools
 import math
 
-from .errors import DEFAULT_BUDGET, BudgetError, _links
+from .errors import DEFAULT_BUDGET, BudgetError, _chain_n, _links
 from .trees import RootedTree
 
 
@@ -94,7 +94,7 @@ def chain_fragments(lo, hi, removed):
 
 def fragments_of(G, n):
     """The |G|+1 fragments of the chain 1..n after removing the link set G."""
-    g = sorted(_links(G, n))
+    g = sorted(_links(G, _chain_n(n)))
     if len(set(g)) != len(g):
         raise ValueError("duplicate links")
     return chain_fragments(1, n, g)
@@ -117,7 +117,7 @@ class FragTree(RootedTree):
     def __init__(self, n, root, left=None, right=None):
         left = dict(left or {})
         right = dict(right or {})
-        self.n = n
+        self.n = _chain_n(n)
         if root is None:
             if left or right:
                 raise ValueError("empty tree cannot have children")
@@ -136,25 +136,27 @@ class FragTree(RootedTree):
         lo, hi = {}, {}
         order = []
         edges = []
-
-        def walk(a, alo, ahi):
+        # each child's interval is a strict part of its parent's, so the walk
+        # ends even on child maps with cycles
+        stack = [(root, 1, n)]
+        while stack:
+            a, alo, ahi = stack.pop()
             if not alo <= a <= ahi:
                 raise ValueError(f"vertex {a} outside its interval ({alo},{ahi})")
             lo[a], hi[a] = alo, ahi
+            order.append(a)
             lc, rc = left.get(a), right.get(a)
             if lc is not None:
                 if not lc < a:
                     raise ValueError(f"left child {lc} not below {a}")
                 edges.append((a, lc))
-                walk(lc, alo, a - 1)
+                stack.append((lc, alo, a - 1))
             if rc is not None:
                 if not rc > a:
                     raise ValueError(f"right child {rc} not above {a}")
                 edges.append((a, rc))
-                walk(rc, a + 1, ahi)
-            order.append(a)
-
-        walk(root, 1, n)
+                stack.append((rc, a + 1, ahi))
+        order.reverse()  # visited root, right, left: reversed, the postorder
         super().__init__(root, edges)
         for m in (left, right):
             for a, c in m.items():
@@ -207,20 +209,13 @@ class FragTree(RootedTree):
         """External fragments in left-to-right order; equals the fragments of
         G in the chain, with anchor metadata attached."""
         if self._externals is None:
+            # G is the in-order, and a vertex's childless sides border it
             out = []
-
-            def visit(a):
-                lc, rc = self.left[a], self.right[a]
-                if lc is None:
+            for a in self.G:
+                if self.left[a] is None:
                     out.append(Fragment(self.lo[a], a - 1, vertex=a, side="L"))
-                else:
-                    visit(lc)
-                if rc is None:
+                if self.right[a] is None:
                     out.append(Fragment(a + 1, self.hi[a], vertex=a, side="R"))
-                else:
-                    visit(rc)
-
-            visit(self.root)
             self._externals = out
         return list(self._externals)
 
@@ -248,7 +243,7 @@ def enumerate_fragmentation_trees(G, n, budget=DEFAULT_BUDGET):
     recursively. Rejects G whose full-distribution term count
     catalan(|G|) * 2^(|G|-1) exceeds the budget.
     """
-    g = tuple(sorted(set(_links(G, n))))
+    g = tuple(sorted(set(_links(G, _chain_n(n)))))
     m = len(g)
     cost = catalan(m) * (1 << max(m - 1, 0))
     if cost > budget:

@@ -162,13 +162,7 @@ def mobius_inversion_check(tree, f, K):
 def covers_below(tree, K):
     """The elements covered-from-below list for K: K u {e} over stump edges e."""
     (kmask,) = _edge_masks(tree, K)
-    out = []
-    m = _stump_edges(tree, kmask)
-    while m:
-        low = m & -m
-        out.append(tree.vertex_set(kmask | low))
-        m ^= low
-    return out
+    return [tree.vertex_set(kmask | 1 << i) for i in _t._bits(_stump_edges(tree, kmask))]
 
 
 def hasse_edges(tree, max_edges=16):

@@ -88,9 +88,10 @@ class RateSpec:
     def __init__(self, mode, rho):
         if mode not in ("discrete", "continuous"):
             raise ValueError(f"unknown mode {mode!r}")
-        rho = {int(k): v for k, v in rho.items()}
+        rho = dict(rho)
         n = len(rho)
-        if n == 0 or set(rho) != set(range(1, n + 1)):
+        # True == 1, so the int rule comes before the comparison of key sets
+        if n == 0 or not all(map(_is_int, rho)) or set(rho) != set(range(1, n + 1)):
             raise ValueError("rates must cover links 1..n exactly")
         self.exact = all(isinstance(v, (int, Fraction)) for v in rho.values())
         for k, v in rho.items():
@@ -254,15 +255,13 @@ def dist_continuous(G, rates, t):
 
 
 def _edge_submasks_by_size(tree):
+    from .trees import _bits
+
     bits = [tree._bit[e] for e in tree.edges]
-    k = len(bits)
-    for combo in sorted(range(1 << k), key=lambda m: (m.bit_count(), m)):
+    for combo in sorted(range(1 << len(bits)), key=lambda m: (m.bit_count(), m)):
         hmask = 0
-        m = combo
-        while m:
-            low = m & -m
-            hmask |= 1 << bits[low.bit_length() - 1]
-            m ^= low
+        for i in _bits(combo):
+            hmask |= 1 << bits[i]
         yield combo.bit_count(), hmask
 
 

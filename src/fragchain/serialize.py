@@ -73,15 +73,9 @@ def fragtree_from_dict(source):
 
 
 def rootedtree_to_dict(tree):
-    edges = []
-
-    def visit(v):
-        for c in tree.children[v]:
-            edges.append([v, c])
-            visit(c)
-
-    visit(tree.root)
-    return {"root": tree.root, "edges": edges}
+    # the vertex order is depth-first, so the edges come parent first
+    return {"root": tree.root,
+            "edges": [[tree.parent[v], v] for v in tree.vertices[1:]]}
 
 
 def rootedtree_from_dict(source):

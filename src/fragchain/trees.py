@@ -22,6 +22,14 @@ from functools import cached_property, lru_cache
 from .errors import _is_int
 
 
+def _bits(mask):
+    """The bit positions of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class RootedTree:
     """A finite rooted tree with ordered children.
 
@@ -70,9 +78,6 @@ class RootedTree:
         for v in reversed(self.vertices[1:]):
             desc[self.parent[v]] |= desc[v]
         return desc
-
-    # descendant masks indexed by bit position, for mask-only loops
-    _desc_by_bit = cached_property(lambda self: [self._desc[v] for v in self.vertices])
 
     # -- size and order ------------------------------------------------
 
@@ -138,20 +143,12 @@ class RootedTree:
             comp[v] = m
         return comp
 
-    def _strict_edge_ancestors(self, bit):
-        # ancestor edges of the edge at this bit, excluding itself and the root
-        v = self.vertices[bit]
-        return self._anc[v] & ~(1 << bit) & ~1
-
 
 def stump_mask(tree, hmask):
     """Bitmask of the stump set of the edge mask hmask."""
     gone = 0
-    m = hmask
-    while m:
-        low = m & -m
-        gone |= tree._desc_by_bit[low.bit_length() - 1]
-        m ^= low
+    for i in _bits(hmask):
+        gone |= tree._desc[tree.vertices[i]]
     return tree.all_mask & ~gone
 
 
@@ -166,16 +163,9 @@ def subtree(tree, alpha, H=()):
     Only edges strictly inside the component are kept, so alpha's own parent
     edge never appears.
     """
-    hmask = tree.edge_mask(H)
-    edges = []
-    stack = [alpha]
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            if not (hmask >> tree._bit[c]) & 1:
-                edges.append((v, c))
-                stack.append(c)
-    return RootedTree(alpha, edges)
+    comp = tree.component_masks(tree.edge_mask(H))[alpha]
+    # alpha is an ancestor of the rest of its component, so it comes first
+    return RootedTree(alpha, [(tree.parent[v], v) for v in tree.mask_vertices(comp)[1:]])
 
 
 def component_mask(tree, alpha, hmask):
@@ -183,29 +173,30 @@ def component_mask(tree, alpha, hmask):
     return tree.component_masks(hmask)[alpha]
 
 
+def _minimal(tree, mask):
+    """The mask of the minimal elements of a vertex mask in the tree order:
+    its members with no other member among their ancestors."""
+    out = 0
+    for i in _bits(mask):
+        if not tree._anc[tree.vertices[i]] & mask & ~(1 << i):
+            out |= 1 << i
+    return out
+
+
 def minimal_edges(tree, H):
     """The minimal elements of the edge set H in the edge order."""
-    hmask = tree.edge_mask(H)
-    out = 0
-    m = hmask
-    while m:
-        low = m & -m
-        if not tree._strict_edge_ancestors(low.bit_length() - 1) & hmask:
-            out |= low
-        m ^= low
-    return tree.vertex_set(out)
+    return tree.vertex_set(_minimal(tree, tree.edge_mask(H)))
+
+
+def minimal_vertices(tree, S):
+    """The minimal elements of a vertex set S in the tree order."""
+    return tree.vertex_set(_minimal(tree, tree.vertex_mask(S)))
 
 
 def is_stump_cut_set(tree, H):
     """True when H equals its own minimal edges, i.e. H is an antichain."""
     hmask = tree.edge_mask(H)
-    m = hmask
-    while m:
-        low = m & -m
-        if tree._strict_edge_ancestors(low.bit_length() - 1) & hmask:
-            return False
-        m ^= low
-    return True
+    return _minimal(tree, hmask) == hmask
 
 
 def stump_cut_set(tree, R):
@@ -230,33 +221,19 @@ def stump_cut_set(tree, R):
 def enumerate_stump_cut_sets(tree):
     """All stump cut sets (= antichains of the edge order), deterministically.
 
-    Built by the product rule: independently per child edge, either cut it or
-    recurse below it. Output is sorted by size then by vertex-order mask.
+    Built by the product rule, children first: independently per child edge,
+    either cut it or take one of the child's own cut sets below it. Output is
+    sorted by size then by vertex-order mask.
     """
-
-    def below(v):
+    below = {}
+    for v in reversed(tree.vertices):
         acc = [0]
         for c in tree.children[v]:
-            opts = [1 << tree._bit[c]] + below(c)
+            opts = [1 << tree._bit[c]] + below.pop(c)
             acc = [a | b for a in acc for b in opts]
-        return acc
-
-    masks = sorted(below(tree.root), key=lambda m: (m.bit_count(), m))
+        below[v] = acc
+    masks = sorted(below[tree.root], key=lambda m: (m.bit_count(), m))
     return [tree.vertex_set(m) for m in masks]
-
-
-def minimal_vertices(tree, S):
-    """The minimal elements of a vertex set S in the tree order."""
-    smask = tree.vertex_mask(S)
-    out = 0
-    m = smask
-    while m:
-        low = m & -m
-        v = tree.vertices[low.bit_length() - 1]
-        if not (tree._anc[v] & ~low) & smask:
-            out |= low
-        m ^= low
-    return tree.vertex_set(out)
 
 
 # -- shape catalogs ------------------------------------------------------

@@ -379,6 +379,33 @@ def test_mobius_unknown_vertex(rooted_file, frag_and_rooted_files, capsys):
         assert captured.err == "error: unknown vertex 9\n"
 
 
+def test_deep_fragtree_file(tmp_path, capsys):
+    # a 1,499-edge path is deeper than the interpreter's recursion limit
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"links": [1, 1500], "root": 1,
+                             "edges": [[a, a + 1] for a in range(1, 1500)]}))
+    assert run(["poset", "--tree", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hasse_edges is limited to 16 edges (1499 given)\n"
+    assert run(["mobius", "--tree", str(p), "--from", "2", "--to", ""]) == 0
+    assert capsys.readouterr().out == "-1\n"
+
+
+def test_string_vertex_labels(tmp_path, rooted_file, capsys):
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps({"root": "0", "edges": [["0", "1"], ["0", "2"]]}))
+    assert run(["mobius", "--tree", str(p), "--from", "1", "--to", ""]) == 0
+    assert capsys.readouterr().out == "-1\n"
+    assert run(["poset", "--tree", str(p), "--interval", "1,2:"]) == 0
+    assert capsys.readouterr().out == "{}\n1\n2\n1,2\n"
+    assert run(["poset", "--tree", str(p), "--factorize", "2,1"]) == 0
+    assert capsys.readouterr().out == "1\n2\n"
+    # a token no vertex prints as is read as an int, so "01" names vertex 1
+    assert run(["mobius", "--tree", rooted_file, "--from", "01,2", "--to", "01"]) == 0
+    assert capsys.readouterr().out == "-1\n"
+
+
 def test_verify_rejects_negative_samples(capsys):
     assert run(["verify", "--n", "3", "--t-grid", "0,1", "--shape-edges", "2",
                 "--inversion-trials", "3", "--samples", "-5"]) == 2

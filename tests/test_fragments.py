@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fragchain import (BudgetError, FragTree, Fragment, RootedTree, catalan,
                        chain_fragments, enumerate_fragmentation_trees,
                        fragment_family, fragments_of, minimal_vertices)
+from fragchain.serialize import fragtree_from_dict, fragtree_to_dict
 
 from oracles import bf_fragments
 
@@ -205,6 +206,44 @@ def test_as_rooted_tree(ref_frag_tree):
     assert rt.root == 3
     assert set(rt.vertices) == {1, 3, 4}
     assert rt.children[3] == (1, 4)
+
+
+def _path(links, n):
+    """The fragmentation tree whose vertices form one path, root first."""
+    left, right = {}, {}
+    for a, b in zip(links, links[1:]):
+        (left if b < a else right)[a] = b
+    return FragTree(n, links[0], left, right)
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "zigzag"])
+def test_deep_fragtrees_build(shape):
+    # a path deeper than the interpreter's recursion limit
+    n = 3000
+    links = {"left": list(range(n, 0, -1)), "right": list(range(1, n + 1)),
+             "zigzag": [a for k in range(1, n // 2 + 1) for a in (k, n + 1 - k)]}[shape]
+    t = _path(links, n)
+    assert t.postorder == tuple(reversed(links))
+    assert t.vertices == tuple(links)
+    assert len(t.externals()) == n + 1
+    assert [(f.lo, f.hi) for f in t.externals()] == [(a, a - 1) for a in range(1, n + 2)]
+    d = fragtree_to_dict(t)
+    assert d["edges"] == [[a, b] for a, b in zip(links, links[1:])]
+    back = fragtree_from_dict(d)
+    assert back == t and back.postorder == t.postorder
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FragTree(2.5, 1),
+    lambda: FragTree(True, None),
+    lambda: FragTree(0, None),
+    lambda: fragments_of([1], 2.5),
+    lambda: enumerate_fragmentation_trees([1], 2.5),
+], ids=["FragTree 2.5", "FragTree True", "FragTree 0", "fragments_of 2.5",
+        "enumerate 2.5"])
+def test_chain_n_is_an_int_of_at_least_1(call):
+    with pytest.raises(ValueError, match="int n of at least 1"):
+        call()
 
 
 def test_catalan_values():

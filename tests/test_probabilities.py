@@ -54,6 +54,25 @@ def test_ratespec_rejects_bool_rates():
         RateSpec("continuous", {1: 0.5, 2: True})
 
 
+@pytest.mark.parametrize("rho", [
+    {1.5: 0.3, 2: 0.2}, {True: 0.3, 2: 0.2}, {"1": 0.3, "2": 0.2},
+], ids=["float key", "bool key", "str keys"])
+def test_ratespec_keys_are_int_links(rho):
+    # int() would read each of these as links 1 and 2
+    with pytest.raises(ValueError, match="cover links 1..n"):
+        RateSpec("discrete", rho)
+
+
+def test_rates_file_keys_stay_strings(tmp_path):
+    from fragchain.serialize import rates_from_dict
+
+    p = tmp_path / "rates.json"
+    p.write_text('{"mode": "discrete", "rho": {"1": 0.3, "2": 0.2}}')
+    r = rates_from_dict(str(p))
+    assert (r.n, r.rho(1), r.rho(2)) == (2, 0.3, 0.2)
+    assert r.to_dict()["rho"] == {"1": 0.3, "2": 0.2}
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_ratespec_run_sums_and_stays(exact):
     r = random_rates(6, make_rng(), total=1.0, exact=exact)

@@ -4,8 +4,8 @@ steps or continuous time) and a tree's n by the functions here."""
 
 import math
 
-#: default cap on catalan(|G|) * 2^(|G|-1), the term count of a full
-#: distribution evaluation; admits |G| <= 10
+#: default cap on catalan(|G|) * 2^(|G|-1), a bound on the term count of a
+#: full distribution evaluation; admits |G| <= 10
 DEFAULT_BUDGET = 10**7
 
 

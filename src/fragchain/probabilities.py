@@ -28,10 +28,10 @@ links. Discrete-chain probabilities have three routes:
   fixed the recursion gives one tree's probability, by a scan over the
   tree's vertices;
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
-  fragmentation trees of G, each an inclusion-exclusion sum over the
-  2^(|G|-1) cut sets of its edges, with the waiting-rate denominators of
-  lambda_diff. Only this route and tree enumeration are subject to the
-  enumeration budget (BudgetError);
+  fragmentation trees of G, each an inclusion-exclusion sum over the cut
+  sets of its edges, with the waiting-rate denominators of lambda_diff, by
+  the stump-set product rule (_stump_sums). Only this route and tree
+  enumeration are subject to the enumeration budget (BudgetError);
 * oracles: the transition-matrix power (discrete) and the uniformised
   generator exponential (continuous), built straight from the one-step
   definition and kept for comparison only. Both multiply a sparse vector by
@@ -40,7 +40,7 @@ links. Discrete-chain probabilities have three routes:
 Discrete-chain quantities support an exact rational mode: with Fraction
 rates every route is exact, the interval recursion on the RateSpec's
 integer form of the rates, the others in Fraction arithmetic. Float mode
-sums the paper's alternating sums by subset size, compensated (Neumaier);
+sums the paper's alternating sums by math.fsum and Neumaier's compensation;
 rates add in ascending link order, so floats keep their bits on any Python.
 
 Key quantity: for a removed set S inside an interval I, lambda^I_S is the
@@ -109,6 +109,8 @@ class RateSpec:
         self.mode = mode
         self.n = n
         self._rho = rho
+        # once, not per as_float call; a spec keeping itself would be a cycle
+        self._all_float = all(isinstance(v, float) for v in rho.values())
         self._float = None
 
     def rho(self, alpha):
@@ -150,7 +152,7 @@ class RateSpec:
         return Fraction(1) if self.exact else 1.0
 
     def as_float(self):
-        if not self.exact and all(isinstance(v, float) for v in self._rho.values()):
+        if self._all_float:
             return self
         if self._float is None:
             self._float = RateSpec(self.mode, {k: float(v) for k, v in self._rho.items()})
@@ -254,17 +256,6 @@ def dist_continuous(G, rates, t):
     return p
 
 
-def _edge_submasks_by_size(tree):
-    from .trees import _bits
-
-    bits = [tree._bit[e] for e in tree.edges]
-    for combo in sorted(range(1 << len(bits)), key=lambda m: (m.bit_count(), m)):
-        hmask = 0
-        for i in _bits(combo):
-            hmask |= 1 << bits[i]
-        yield combo.bit_count(), hmask
-
-
 def _clamp_prob(raw, exact):
     if exact:
         if not 0 <= raw <= 1:
@@ -275,36 +266,47 @@ def _clamp_prob(raw, exact):
     return min(1.0, max(0.0, raw))
 
 
+def _stump_sums(tree, w, exact):
+    """The paper's inclusion-exclusion over the cut sets H of a tree's
+    edges, by stump set: {S: A_S}, A_S the sum over the H with root
+    component S of (-1)^|H| prod over the vertices a of w(a, C_a), with C_a
+    a's component below a (masks). It factors over the tree as the pruning
+    poset does (poset.product_factorization), children first: Psi_v(C) =
+    w(v, C) prod over the children c of [c in C ? Psi_c(C within c's
+    subtree) : -sum of Psi_c], and A = Psi_root, one entry per stump set.
+    """
+    psi = {}
+    for v in reversed(tree.vertices):
+        acc = [(1 << tree._bit[v], 1)]
+        for c in tree.children[v]:
+            below = psi.pop(c)
+            cut = -(sum(below.values()) if exact else math.fsum(below.values()))
+            acc = [(m | mc, x * y) for m, x in acc for mc, y in [(0, cut), *below.items()]]
+        psi[v] = {m: w(v, m) * x for m, x in acc}
+    return psi[tree.root]
+
+
 def tree_prob_continuous(tree, rates, t):
     """P(the continuous chain matches this fragmentation tree at time t).
 
-    Inclusion-exclusion over the cut sets H of the tree's edges: each term is
-    the chance that everything inside the stump component of H has broken,
-    nothing outside has, weighted per vertex by rho(alpha) over the total
-    rate of alpha's component. Summed smallest-H first with compensated
-    accumulation, then verified and clamped to [0, 1].
+    The stump-set product rule (_stump_sums) with waiting weights rho(alpha)
+    over the total rate of alpha's component: the sum over stump sets S of
+    A_S times the chance that all of S has broken and nothing else has.
+    Summed compensated, then verified and clamped to [0, 1].
     """
     t = _need(rates, "continuous", "tree_prob_continuous", t, tree)
-    n = rates.n
-    total_f = float(rates.rho_run(1, n))
+    total_f = float(rates.rho_run(1, rates.n))
     if not tree.G:
         return math.exp(-total_f * t)
     rho_f = {a: float(rates.rho(a)) for a in tree.G}
-    msum_cache = {}
 
     def msum(mask):
-        if mask not in msum_cache:
-            msum_cache[mask] = math.fsum(rho_f[a] for a in tree.mask_vertices(mask))
-        return msum_cache[mask]
+        return math.fsum(rho_f[a] for a in tree.mask_vertices(mask))
 
     terms = []
-    for size, hmask in _edge_submasks_by_size(tree):
-        comp = tree.component_masks(hmask)
-        stump_rho = msum(comp[tree.root])
-        term = -math.expm1(-stump_rho * t) * math.exp(-(total_f - stump_rho) * t)
-        for a in tree.G:
-            term *= rho_f[a] / msum(comp[a])
-        terms.append(-term if size & 1 else term)
+    for stump, coef in _stump_sums(tree, lambda a, m: rho_f[a] / msum(m), False).items():
+        r = msum(stump)
+        terms.append(-math.expm1(-r * t) * math.exp(-(total_f - r) * t) * coef)
     return _clamp_prob(neumaier_sum(terms), False)
 
 
@@ -544,11 +546,11 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     "auto" runs the interval recursion with the root of every interval
     fixed by the tree: g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
     g_right(u-1). "direct" runs the paper's inclusion-exclusion over cut
-    sets H: terms combine the no-change eigenvalues lambda^L of the stump
-    state with per-vertex waiting weights
-    rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty)
-    (see lambda_diff). Exact in rational mode; compensated float sum
-    otherwise.
+    sets H by the stump-set product rule (_stump_sums), with waiting
+    weights rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} -
+    lambda^{I_alpha}_empty) (see lambda_diff): the sum over stump sets S of
+    A_S (lambda_S^t - lambda_empty^t). Exact in rational mode; compensated
+    float sum otherwise.
     """
     _need(rates, "discrete", "tree_prob_discrete", t, tree)
     _check_method(method)
@@ -559,48 +561,35 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
 
 def _paper_terms(tree, rates):
     """The paper's formula for one tree but the horizon: the tree's height
-    (its most vertices on a path from the root), the lambdas of the empty
-    state and of each distinct stump, and per cut set H, smallest first,
-    (|H| odd, its stump's index, the product of the waiting weights)."""
+    (its most vertices on a path from the root), the lambda of the empty
+    state, and per stump set S (lambda_S, A_S) by the stump-set product
+    rule (_stump_sums) with waiting weights rho(alpha) / lambda_diff."""
     n = rates.n
-    lams = [lam_interval(rates, [], 1, n)]
+    lam0 = lam_interval(rates, [], 1, n)
     if not tree.G:
-        return 0, lams, []
-    stumps = {}
-    denom = {}
-    cuts = []
-    for size, hmask in _edge_submasks_by_size(tree):
-        comp = tree.component_masks(hmask)
-        stump = comp[tree.root]
-        if stump not in stumps:
-            stumps[stump] = len(lams)
-            lams.append(lam_interval(rates, sorted(tree.mask_vertices(stump)), 1, n))
-        factor = rates.one
-        for a in tree.G:
-            key = (a, comp[a])
-            if key not in denom:
-                denom[key] = lambda_diff(rates, sorted(tree.mask_vertices(comp[a])),
-                                         tree.lo[a], tree.hi[a])
-            factor = factor * rates.rho(a) / denom[key]
-        cuts.append((size & 1, stumps[stump], factor))
-    return max(anc.bit_count() for anc in tree._anc.values()), lams, cuts
+        return 0, lam0, []
+
+    def w(a, mask):
+        return rates.rho(a) / lambda_diff(rates, sorted(tree.mask_vertices(mask)),
+                                          tree.lo[a], tree.hi[a])
+
+    stumps = [(lam_interval(rates, sorted(tree.mask_vertices(stump)), 1, n), coef)
+              for stump, coef in _stump_sums(tree, w, rates.exact).items()]
+    return max(anc.bit_count() for anc in tree._anc.values()), lam0, stumps
 
 
 def _paper_prob(terms, t, exact):
     """A tree's probability at step t from its _paper_terms: the sum over
-    cut sets of sign * factor * (lambda_stump^t - lambda_empty^t). A step
-    breaks each fragment at most once, so a tree deeper than t cannot be
-    matched: that is an exact 0, where the float sum leaves a residue."""
-    height, lams, cuts = terms
+    stump sets S of A_S (lambda_S^t - lambda_empty^t). A step breaks each
+    fragment at most once, so a tree deeper than t cannot be matched: that
+    is an exact 0, where the float sum leaves a residue."""
+    height, lam0, stumps = terms
     if t < height:
         return Fraction(0) if exact else 0.0
-    pows = [lam ** t for lam in lams]
-    if not cuts:
-        return pows[0]
-    vals = []
-    for odd, s, factor in cuts:
-        term = (pows[s] - pows[0]) * factor
-        vals.append(-term if odd else term)
+    p0 = lam0 ** t
+    if not stumps:
+        return p0
+    vals = [(lam ** t - p0) * coef for lam, coef in stumps]
     return _clamp_prob(sum(vals) if exact else neumaier_sum(vals), exact)
 
 

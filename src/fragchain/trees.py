@@ -209,10 +209,11 @@ def stump_cut_set(tree, R):
     rset = set(R)
     if tree.root not in rset:
         raise ValueError("a stump set must contain the root")
-    for v in rset:
-        if v not in tree._bit:
-            raise ValueError(f"unknown vertex {v!r}")
-        if v != tree.root and tree.parent[v] not in rset:
+    # sorted, and in vertex order below: one message under any hash seed
+    for v in sorted(rset - tree._bit.keys(), key=repr):
+        raise ValueError(f"unknown vertex {v!r}")
+    for v in tree.vertices[1:]:
+        if v in rset and tree.parent[v] not in rset:
             raise ValueError(f"not an order ideal: parent of {v!r} is missing")
     return frozenset(c for c in tree.vertices[1:]
                      if tree.parent[c] in rset and c not in rset)

@@ -168,3 +168,19 @@ def bf_atom_probability(tree, rates, atom):
         else:
             p = p * cond[atom[key]]
     return p
+
+
+def bf_cut_set_sum(tree, w):
+    """The paper's inclusion-exclusion one edge subset H at a time, grouped
+    by stump set: {stump: sum over H of (-1)^|H| times the product over the
+    vertices a of w(a, a's component below a)}."""
+    edges = tree.vertices[1:]
+    out = {}
+    for r in range(len(edges) + 1):
+        for H in itertools.combinations(edges, r):
+            term = (-1) ** r
+            for a in tree.vertices:
+                term *= w(a, bf_component(tree, a, H))
+            stump = bf_component(tree, tree.root, H)
+            out[stump] = out.get(stump, 0) + term
+    return out

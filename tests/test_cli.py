@@ -392,6 +392,21 @@ def test_deep_fragtree_file(tmp_path, capsys):
     assert capsys.readouterr().out == "-1\n"
 
 
+def test_treeprob_direct_on_a_deep_path(tmp_path, capsys):
+    # the paper's route on a 40-link path, exact: a loop over its cut sets
+    # would need 2^39 of them
+    tree, rates = tmp_path / "path.json", tmp_path / "rates.json"
+    tree.write_text(json.dumps({"links": [1, 40], "root": 1,
+                                "edges": [[a, a + 1] for a in range(1, 40)]}))
+    rates.write_text(json.dumps({"mode": "discrete", "rho": {str(a): "1/50" for a in range(1, 41)}}))
+    out = {}
+    for method in ("auto", "direct"):
+        assert run(["treeprob", "--rates", str(rates), "--tree", str(tree), "--time", "45",
+                    "--method", method, "--exact"]) == 0
+        out[method] = capsys.readouterr().out
+    assert out["direct"] == out["auto"] and Fraction(out["auto"]) > 0
+
+
 def test_string_vertex_labels(tmp_path, rooted_file, capsys):
     p = tmp_path / "labels.json"
     p.write_text(json.dumps({"root": "0", "edges": [["0", "1"], ["0", "2"]]}))
@@ -550,11 +565,11 @@ def test_package_names_resolve_lazily():
 VERIFY_N4_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=4, t in [0, 1, 2, 5, 10], max|err|=1.110e-16, recursion max|err|=1.110e-16
+pass  discrete_formula_vs_matrix       n=4, t in [0, 1, 2, 5, 10], max|err|=1.665e-16, recursion max|err|=1.110e-16
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=5.551e-17
 pass  matrix_triangular_eigenvalues    states=16, max_diag_error=0.000e+00
-pass  continuous_tree_sum_vs_closed    n=4, max|err|=3.053e-16
+pass  continuous_tree_sum_vs_closed    n=4, max|err|=3.608e-16
 pass  normalization_continuous         max|sum-1|=1.110e-16
 pass  mc_tree_concordance              N=2000, max|z|=2.89
 pass  coupled_vs_direct                N=2000, max|z|=0.80
@@ -812,7 +827,7 @@ def test_entry_point_loads_only_what_each_command_runs(rates_file, tree_file,
 VERIFY_N5_NO_SAMPLES_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=1.769e-16, recursion max|err|=8.327e-17
+pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=2.567e-16, recursion max|err|=8.327e-17
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.665e-16
 pass  matrix_triangular_eigenvalues    states=32, max_diag_error=0.000e+00
@@ -826,7 +841,7 @@ verify: PASS
 VERIFY_N6_NO_SAMPLES_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=1.978e-16, recursion max|err|=2.776e-17
+pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=9.151e-17, recursion max|err|=2.776e-17
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.110e-16
 pass  matrix_triangular_eigenvalues    states=64, max_diag_error=0.000e+00

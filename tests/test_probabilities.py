@@ -16,10 +16,11 @@ from fragchain import (ConsistencyError, FragTree, RateSpec,
                        generator_matrix_dist, lambda_diff, lambda_value,
                        random_rates, transition_matrix_dist, transition_rows,
                        tree_prob_continuous, tree_prob_discrete)
-from fragchain import checks, probabilities
+from fragchain import checks, enumerate_tree_shapes, probabilities
 from fragchain.probabilities import lam_interval
 
 from conftest import make_rng
+from oracles import bf_cut_set_sum
 
 
 def test_ratespec_validation():
@@ -84,6 +85,26 @@ def test_ratespec_run_sums_and_stays(exact):
             assert r.stay(lo, hi) == max(1 - rho, 0)
             assert r.scaled_stay(lo, hi) == r.stay(lo, hi) * r.scaled[0]
     assert r.stay(1, 6) >= 0 and type(r.stay(1, 6)) is type(r.one)
+
+
+@pytest.mark.parametrize("rho", [{1: 0.25, 2: 0.5}, {1: Fraction(1, 4), 2: Fraction(1, 2)},
+                                 {1: 0.25, 2: Fraction(1, 2)}],
+                         ids=["float", "exact", "mixed"])
+def test_ratespec_float_twin(rho):
+    r = RateSpec("continuous", rho)
+    twin = r.as_float()
+    # an all-float spec is its own twin; any other keeps one twin
+    assert (twin is r) == all(isinstance(v, float) for v in rho.values())
+    assert r.as_float() is twin and twin.as_float() is twin
+    assert [twin.rho(1), twin.rho(2)] == [0.25, 0.5]
+    # and no reference cycle: the spec goes with its last reference
+    gone = weakref.ref(r)
+    gc.disable()
+    try:
+        del r, twin
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_lambda_reference(rates5):
@@ -242,6 +263,35 @@ def test_paper_route_is_zero_below_the_tree_height(exact):
                 p = tree_prob_discrete(tree, r, t, "direct")
                 assert p == 0 and type(p) is (Fraction if exact else float)
             assert tree_prob_discrete(tree, r, h, "direct") > 0
+
+
+def test_stump_sums_match_the_cut_set_oracle():
+    # random nonzero weights, one per (vertex, component), summed by the
+    # product rule and by every cut set one at a time, stump by stump
+    rng = random.Random(22)
+    frag = [tr for n in range(1, 7) for G in _subsets(n)
+            for tr in enumerate_fragmentation_trees(G, n) if tr.G]
+    for tree in [*enumerate_tree_shapes(5), *frag]:
+        weights = {}
+
+        def w(a, comp):
+            if (a, comp) not in weights:
+                weights[a, comp] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                            rng.randint(1, 9))
+            return weights[a, comp]
+
+        got = probabilities._stump_sums(tree, lambda a, m: w(a, tree.vertex_set(m)), True)
+        assert {tree.vertex_set(m): v for m, v in got.items()} == bf_cut_set_sum(tree, w)
+
+
+def test_paper_route_on_a_deep_path():
+    # 40 links, each the right child of the one before: 40 stump sets where
+    # a loop over cut sets would need 2^39. Exact only: in floats the
+    # paper's sum cancels on this tree
+    tree = FragTree(40, 1, {}, {a: a + 1 for a in range(1, 40)})
+    r = RateSpec("discrete", {a: Fraction(1, 50) for a in range(1, 41)})
+    for t in (39, 40, 45):
+        assert tree_prob_discrete(tree, r, t, "direct") == tree_prob_discrete(tree, r, t)
 
 
 def test_continuous_tree_sum(crates4):

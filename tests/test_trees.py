@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +63,29 @@ def test_stump_cut_set_inverse(tree_ternary):
         stump_cut_set(tree_ternary, {3, 7})  # missing root
     with pytest.raises(ValueError):
         stump_cut_set(tree_ternary, {1, 4})  # not downward closed
+
+
+def test_stump_cut_set_message_ignores_hash_seed():
+    # both c and d lack their parent; the message names the first in vertex
+    # order (r, b, c, a, d), not in the string set's seed-dependent order.
+    # Of two unknown vertices it names the first by repr
+    script = "\n".join([
+        "from fragchain import RootedTree, stump_cut_set",
+        "tree = RootedTree('r', [('r', 'b'), ('r', 'a'), ('b', 'c'), ('a', 'd')])",
+        "for R in ({'r', 'c', 'd'}, {'r', 'x', 'y'}):",
+        "    try:",
+        "        stump_cut_set(tree, R)",
+        "    except ValueError as e:",
+        "        print(e)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout == ("not an order ideal: parent of 'c' is missing\n"
+                               "unknown vertex 'x'\n"), seed
 
 
 def test_minimal_edges_examples(tree_ternary):

@@ -135,7 +135,7 @@ def cmd_treeprob(args):
         raise ValueError("--exact and --method need discrete rates")
     tree = _load_tree_any(args.tree)
     if not isinstance(tree, FragTree):
-        raise ValueError("treeprob needs a fragmentation tree file")
+        raise ValueError('treeprob needs a fragmentation tree file, with "links"')
     t = _parse_time(args.time, rates.mode)
     if rates.mode == "discrete":
         p = pr.tree_prob_discrete(tree, rates, t, args.method)
@@ -241,7 +241,7 @@ def cmd_simulate(args):
 
         tree = _load_tree_any(args.tree)
         if not isinstance(tree, FragTree):
-            raise ValueError("simulate needs a fragmentation tree file")
+            raise ValueError('simulate needs a fragmentation tree file, with "links"')
         if args.coupled:
             est, se = sim.estimate_tree_prob_coupled(
                 tree, rates, t, args.samples, args.seed)

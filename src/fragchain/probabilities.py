@@ -25,8 +25,8 @@ links. Discrete-chain probabilities have three routes:
   at n = 1 float and exact rates can be equal with arguments of another
   type. It holds O(n) numbers, not the RateSpec, and only hot programs,
   which HOT_MAX_TERMS bounds, keep any. With the root of every interval
-  fixed the recursion gives one tree's probability, by a scan over the
-  tree's vertices;
+  fixed the recursion gives one tree's probability, by a program of one
+  state per vertex that runs the same way;
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the cut
   sets of its edges, with the waiting-rate denominators of lambda_diff, by
@@ -66,8 +66,9 @@ GENERATOR_MAX_RT = 10_000
 #: steps a program runs interpreted, over all its calls, before _run
 #: generates its kernel: about as many as the generation costs
 HOT_STEPS = 100
-#: largest program generated, in states plus breaks: tables up to n = 7 and
-#: single states up to |G| = 21
+#: largest program generated, in states plus the ks of its states (its
+#: breaks, but subtree sizes in a tree): tables up to n = 7, single states
+#: up to |G| = 21, and trees from 61 vertices (a path) to 229 (balanced)
 HOT_MAX_TERMS = 2**11
 
 
@@ -345,9 +346,10 @@ def _compile(n, keys, tops):
 
 
 class _Program:
-    """A compiled interval recursion (see _compile), the steps it has run
-    over all its calls, and once they reach HOT_STEPS its generated kernel
-    and, in prepared, (rates.scaled, step arguments) of the last rates run."""
+    """A compiled interval recursion (see _compile and _tree_program), the
+    steps it has run over all its calls, and once they reach HOT_STEPS its
+    generated kernel and, in prepared, (rates.scaled, step arguments) of the
+    last rates run."""
 
     __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel",
                  "prepared")
@@ -370,9 +372,10 @@ def _generate(prog):
     Every state's value lives in a local. Each step updates the inner states
     in index order, f_i = lam_i f_i + (sum of c f' f'' over its breaks in
     ascending link order), then the intact ones, s ** u. A state's sides
-    have fewer breaks, so higher indices: they still hold step u - 1 when it
-    reads them, and no second buffer is needed. The operations are those of
-    _run's loop, in its order (its 0 + x is x), so floats keep their bits.
+    have fewer links, so higher indices: they still hold step u - 1 when it
+    reads them, and no second buffer is needed. State i's breaks are in the
+    ranks with i < len(rank[0]). The operations are those of _run's loop,
+    in its order (its 0 + x is x), so floats keep their bits.
     """
     ks, ranks = prog.ks, [*prog.earlier, prog.last]
     inner, size = len(prog.last[0]), len(ks)
@@ -387,8 +390,8 @@ def _generate(prog):
             lines.append(f"    {', '.join(names)}, = {source}")
     lines.append("    for u in range(1, t + 1):")
     for i in range(inner):
-        terms = [f"c{j}_{i} * f{ranks[j][1][i]} * f{ranks[j][2][i]}"
-                 for j in [*range(ks[i] - 1), len(ranks) - 1]]
+        terms = [f"c{j}_{i} * f{rank[1][i]} * f{rank[2][i]}"
+                 for j, rank in enumerate(ranks) if i < len(rank[0])]
         lines.append(f"        f{i} = m{i} * f{i} + ({' + '.join(terms)})")
     lines += [f"        f{i} = s{i} ** u" for i in range(inner, size)]
     lines.append(f"    return [{values}]")
@@ -423,6 +426,28 @@ def _state_program(n, mask):
     keys = [(x + 1, y - 1, mask & ((1 << (y - 1)) - (1 << x)))
             for i, x in enumerate(cuts) for y in cuts[i + 1:]]
     return _compile(n, keys, [(1, n, mask)])
+
+
+@functools.lru_cache(maxsize=1)
+def _tree_program(tree):
+    """One tree, which fixes the first break of every interval: a state per
+    vertex a, over a's interval with the k links of its subtree and the one
+    break a, parents before children. Its sides are the child states, or
+    intact ones listed after every vertex; the empty tree is the intact
+    chain. The last tree asked is kept, as _state_program keeps its state."""
+    order = tree.postorder[::-1]
+    index = {a: i for i, a in enumerate(order)}
+    intervals = [(tree.lo[a], tree.hi[a]) for a in order] or [(1, tree.n)]
+    last = array("i", order), array("i"), array("i")
+    for a in order:
+        for side, child, lo, hi in ((last[1], tree.left[a], tree.lo[a], a - 1),
+                                    (last[2], tree.right[a], a + 1, tree.hi[a])):
+            side.append(len(intervals) if child is None else index[child])
+            if child is None:
+                intervals.append((lo, hi))
+    ks = [tree._desc[a].bit_count() for a in order] + [0] * (len(intervals) - len(order))
+    return _Program(intervals, array("i", range(len(intervals))), array("i", ks), [], last,
+                    array("i", [0]))
 
 
 def _step_args(prog, rates):
@@ -500,41 +525,6 @@ def _run(prog, rates, t):
     return [_clamp_prob(x, False) for x in out]
 
 
-def _tree_prob(tree, rates, t):
-    """P(matching the tree at step t): each vertex is the first break of its
-    interval, and each side then follows the child on that side, or stays
-    whole when there is none. F is scaled as in _run. Every state here has
-    one break, so a postorder scan runs each vertex over all t steps; a
-    child's list is dropped once its parent has read it."""
-    D, p = rates.scaled
-    stay = rates.scaled_stay
-    F = {}
-
-    def side(child, lo, hi):
-        if child is None:
-            s = stay(lo, hi)
-            return [s ** u for u in range(t)]
-        return F.pop(child)
-
-    for a in tree.postorder:
-        lo, hi = tree.lo[a], tree.hi[a]
-        left = side(tree.left[a], lo, a - 1)
-        right = side(tree.right[a], a + 1, hi)
-        c = D ** tree._desc[a].bit_count()
-        lam, q = c * stay(lo, hi), c * p[a]
-        f = [0]
-        for u in range(t):
-            f.append(lam * f[u] + q * left[u] * right[u])
-        F[a] = f
-    if tree.root is None:
-        top, k = stay(1, tree.n) ** t, 0
-    else:
-        top, k = F[tree.root][t], len(tree.G)
-    scale = D ** ((k + 1) * t)
-    return _clamp_prob(Fraction(top, scale) if rates.exact else top / scale,
-                       rates.exact)
-
-
 def _check_method(method):
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
@@ -544,18 +534,19 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     """P(the discrete chain matches this fragmentation tree at time t).
 
     "auto" runs the interval recursion with the root of every interval
-    fixed by the tree: g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
-    g_right(u-1). "direct" runs the paper's inclusion-exclusion over cut
-    sets H by the stump-set product rule (_stump_sums), with waiting
-    weights rho(alpha) / (lambda^{I_alpha}_{G_alpha(H)} -
-    lambda^{I_alpha}_empty) (see lambda_diff): the sum over stump sets S of
-    A_S (lambda_S^t - lambda_empty^t). Exact in rational mode; compensated
-    float sum otherwise.
+    fixed by the tree, g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
+    g_right(u-1), as the tree's program (_tree_program) on _run. "direct"
+    runs the paper's inclusion-exclusion over cut sets H by the stump-set
+    product rule (_stump_sums), with waiting weights rho(alpha) /
+    (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty) (see
+    lambda_diff): the sum over stump sets S of A_S (lambda_S^t -
+    lambda_empty^t). Exact in rational mode; compensated float sum
+    otherwise.
     """
     _need(rates, "discrete", "tree_prob_discrete", t, tree)
     _check_method(method)
     if method == "auto":
-        return _tree_prob(tree, rates, t)
+        return _run(_tree_program(tree), rates, t)[0]
     return _paper_prob(_paper_terms(tree, rates), t, rates.exact)
 
 

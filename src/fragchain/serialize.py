@@ -18,9 +18,9 @@ from fractions import Fraction
 from .errors import _is_int, _links
 
 
-def _load_json(source, parse_float=float):
-    """The JSON object of a file name, an open file or a dict; any other
-    JSON value is malformed input."""
+def _load_json(source, kind, fields, parse_float=float):
+    """The JSON object of a file name, an open file or a dict, which must
+    have the given fields; any other JSON value is malformed input."""
     if hasattr(source, "read"):
         source = json.load(source, parse_float=parse_float)
     elif isinstance(source, (str, os.PathLike)):
@@ -28,6 +28,9 @@ def _load_json(source, parse_float=float):
             source = json.load(fh, parse_float=parse_float)
     if not isinstance(source, dict):
         raise ValueError(f"expected a JSON object, got {type(source).__name__}")
+    for key in fields:
+        if key not in source:
+            raise ValueError(f'{kind} file has no "{key}" field')
     return source
 
 
@@ -57,7 +60,7 @@ def fragtree_to_dict(tree):
 def fragtree_from_dict(source):
     from .fragments import FragTree
 
-    d = _load_json(source)
+    d = _load_json(source, "tree", ("links", "root"))
     lo, n = _pair(d["links"], '"links"')
     if not (_is_int(lo) and _is_int(n) and lo == 1):
         raise ValueError(f'"links" must be [1, n] with n an integer, got {d["links"]!r}')
@@ -81,7 +84,7 @@ def rootedtree_to_dict(tree):
 def rootedtree_from_dict(source):
     from .trees import RootedTree
 
-    d = _load_json(source)
+    d = _load_json(source, "tree", ("root",))
     edges = [tuple(e) for e in _edges(d)]
     bad = [v for e in [(d["root"],)] + edges for v in e
            if not (_is_int(v) or isinstance(v, str))]
@@ -110,7 +113,7 @@ def rates_from_dict(source, exact=False):
     Fractions (and "p/q" strings are accepted), turning on exact mode."""
     from .probabilities import RateSpec
 
-    d = _load_json(source, parse_float=Fraction if exact else float)
+    d = _load_json(source, "rates", ("rho", "mode"), Fraction if exact else float)
     rho = d["rho"]
     if not (isinstance(rho, dict) and all(
             _is_int(v) or isinstance(v, (float, Fraction, str)) for v in rho.values())):

@@ -647,6 +647,27 @@ def test_malformed_tree_file_exits_2(content, rates_file, tmp_path, capsys):
     assert len(lines) == 3 and all(line.startswith("error:") for line in lines)
 
 
+@pytest.mark.parametrize("args, content, field", [
+    (["dist", "--time", "2", "--rates"], {"mode": "discrete"}, "rho"),
+    (["dist", "--time", "2", "--rates"], {"rho": {"1": 0.1}}, "mode"),
+    (["treeprob", "--rates", None, "--time", "2", "--tree"],
+     {"root": 2, "edges": []}, "links"),
+    (["treeprob", "--rates", None, "--time", "2", "--tree"],
+     {"links": [1, 5], "edges": []}, "root"),
+    (["poset", "--tree"], {"edges": [[0, 1]]}, "root"),
+], ids=["rates rho", "rates mode", "tree links", "tree root", "rooted tree root"])
+def test_file_with_a_missing_field_exits_2(args, content, field, rates_file, tmp_path,
+                                           capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(content))
+    args = [rates_file if a is None else a for a in args]
+    assert run(args + [str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f'"{field}"' in captured.err
+
+
 @pytest.mark.parametrize("n", [None, float("inf"), 2.5, "2", True],
                          ids=["null", "Infinity", "fraction", "string", "bool"])
 @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])

@@ -619,6 +619,7 @@ def test_float_golden_pins():
 def _clear_programs():
     probabilities._cached_table_program.cache_clear()
     probabilities._state_program.cache_clear()
+    probabilities._tree_program.cache_clear()
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -668,45 +669,54 @@ def test_program_cache_skips_tables_above_matrix_n():
 
 def test_long_horizon_memory_stays_flat():
     # all states advance together with one value each, so memory does not
-    # grow with t (a list of t + 1 values per state took about 12 MiB here)
+    # grow with t (a list of t + 1 values per state took about 12 MiB for
+    # the state and 15 MiB for the tree)
     r1, r2 = 1e-6, 2e-6
     r = RateSpec("discrete", {1: r1, 2: r2})
     t = 10**5
-    tracemalloc.start()
-    try:
-        p = dist_discrete([1], r, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    tree = FragTree(6, 3, {3: 1}, {3: 5, 5: 6})
+    r6 = RateSpec("discrete", {a: a * 1e-6 for a in range(1, 7)})
+    ps = []
+    for call in (lambda: dist_discrete([1], r, t), lambda: tree_prob_discrete(tree, r6, t)):
+        tracemalloc.start()
+        try:
+            ps.append(call())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     # link 1 breaks first, after which link 2 alone stays whole
     want = (1 - r2) ** t * -math.expm1(t * math.log1p(-r1 / (1 - r2)))
-    assert math.isclose(p, want, rel_tol=1e-9)
+    assert math.isclose(ps[0], want, rel_tol=1e-9)
+    assert 0 < ps[1] < 1
 
 
 def test_generated_kernel_keeps_every_bit(monkeypatch):
     # each case runs on two fresh programs: with HOT_STEPS past any horizon
     # the loop steps it, with HOT_STEPS = 0 the kernel generated on the
-    # first call does; floats and exact values must agree to the last digit
-    rng = make_rng(17)
+    # first call does; floats and exact values must agree to the last digit.
+    # Each case checks a table or a state, and a random tree of the state
+    rng, tree_rng = make_rng(17), make_rng(19)
     for case in range(600):
         n, t = rng.randint(1, 7), rng.randint(0, 15)
         r = random_rates(n, rng, total=rng.choice([0.5, 0.9, 1.0]),
                          exact=rng.random() < 0.3)
         mask = rng.randrange(1 << n)
+        G = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+        tree = tree_rng.choice(enumerate_fragmentation_trees(G, n))
+        builds = {"tree": lambda: probabilities._tree_program.__wrapped__(tree)}
         if case % 2:
-            def build():
-                return probabilities._build_table_program(n)
+            builds["table"] = lambda: probabilities._build_table_program(n)
         else:
-            def build():
-                return probabilities._state_program.__wrapped__(n, mask)
-        results = []
-        for hot_steps in (10**9, 0):
-            monkeypatch.setattr(probabilities, "HOT_STEPS", hot_steps)
-            prog = build()
-            results.append(repr(probabilities._run(prog, r, t)))
-            assert (prog.kernel is None) == bool(hot_steps)
-        assert results[0] == results[1], (n, t, r, case % 2 or mask)
+            builds["state"] = lambda: probabilities._state_program.__wrapped__(n, mask)
+        for kind, build in builds.items():
+            results = []
+            for hot_steps in (10**9, 0):
+                monkeypatch.setattr(probabilities, "HOT_STEPS", hot_steps)
+                prog = build()
+                results.append(repr(probabilities._run(prog, r, t)))
+                assert (prog.kernel is None) == bool(hot_steps)
+            assert results[0] == results[1], (n, t, r, kind, mask, tree)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -715,11 +725,18 @@ def test_first_call_never_generates(exact, rng):
     # call to the program is past HOT_STEPS and runs the generated kernel
     r = random_rates(4, rng, total=0.9, exact=exact)
     t = probabilities.HOT_STEPS + 20
+    tree = FragTree(4, 3, {3: 1}, {3: 4})
+
+    def results():
+        return (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t),
+                tree_prob_discrete(tree, r, t))
+
     _clear_programs()
-    cold = (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t))
-    programs = (probabilities._table_program(4), probabilities._state_program(4, 0b101))
-    assert [prog.kernel for prog in programs] == [None, None]
-    hot = (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t))
+    cold = results()
+    programs = (probabilities._table_program(4), probabilities._state_program(4, 0b101),
+                probabilities._tree_program(tree))
+    assert [prog.kernel for prog in programs] == [None, None, None]
+    hot = results()
     assert all(prog.kernel is not None for prog in programs)
     assert repr(hot) == repr(cold)
 

@@ -40,6 +40,8 @@ def test_fragtree_dict_validation():
     with pytest.raises(ValueError):
         fragtree_from_dict({"links": [1, 5], "root": 4,
                             "edges": [[4, 2], [4, 3]]})  # two left children
+    with pytest.raises(ValueError, match='tree file has no "links" field'):
+        fragtree_from_dict({"root": 3, "edges": []})
 
 
 def test_rootedtree_roundtrip(tree_ternary):

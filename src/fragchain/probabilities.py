@@ -26,7 +26,7 @@ links. Discrete-chain probabilities have three routes:
   type. It holds O(n) numbers, not the RateSpec, and only hot programs,
   which HOT_MAX_TERMS bounds, keep any. With the root of every interval
   fixed the recursion gives one tree's probability, by a program of one
-  state per vertex that runs the same way;
+  state per vertex, which the loop scans a block of steps at a time;
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the cut
   sets of its edges, with the waiting-rate denominators of lambda_diff, by
@@ -66,9 +66,8 @@ GENERATOR_MAX_RT = 10_000
 #: steps a program runs interpreted, over all its calls, before _run
 #: generates its kernel: about as many as the generation costs
 HOT_STEPS = 100
-#: largest program generated, in states plus the ks of its states (its
-#: breaks, but subtree sizes in a tree): tables up to n = 7, single states
-#: up to |G| = 21, and trees from 61 vertices (a path) to 229 (balanced)
+#: largest program generated, in states plus breaks: tables up to n = 7 and
+#: single states up to |G| = 21
 HOT_MAX_TERMS = 2**11
 
 
@@ -137,11 +136,16 @@ class RateSpec:
         s = self.sums[lo][hi - lo + 1]
         return Fraction(s, self.scaled[0]) if self.exact else s
 
-    def scaled_stay(self, lo, hi):
-        """D - (p[lo] + ... + p[hi]), clamped at 0: float rates summing to 1
-        can leave a negative rounding residue."""
+    @functools.cached_property
+    def scaled_stays(self):
+        """scaled_stays[lo][k] = D - sums[lo][k], clamped at 0: float rates
+        summing to 1 can leave a negative rounding residue."""
         D = self.scaled[0]
-        return max(D - self.sums[lo][hi - lo + 1], D * 0)
+        return [None] + [[max(D - s, D * 0) for s in row] for row in self.sums[1:]]
+
+    def scaled_stay(self, lo, hi):
+        """D - (p[lo] + ... + p[hi]), read from scaled_stays."""
+        return self.scaled_stays[lo][hi - lo + 1]
 
     def stay(self, lo, hi):
         """1 - rho(lo..hi), clamped at 0, in the rates' own arithmetic."""
@@ -346,10 +350,9 @@ def _compile(n, keys, tops):
 
 
 class _Program:
-    """A compiled interval recursion (see _compile and _tree_program), the
-    steps it has run over all its calls, and once they reach HOT_STEPS its
-    generated kernel and, in prepared, (rates.scaled, step arguments) of the
-    last rates run."""
+    """An interval recursion (_compile, _tree_program), the steps it has run
+    over all its calls, and once they reach HOT_STEPS its generated kernel
+    and, in prepared, (rates.scaled, step arguments) of the last rates run."""
 
     __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel",
                  "prepared")
@@ -373,9 +376,8 @@ def _generate(prog):
     in index order, f_i = lam_i f_i + (sum of c f' f'' over its breaks in
     ascending link order), then the intact ones, s ** u. A state's sides
     have fewer links, so higher indices: they still hold step u - 1 when it
-    reads them, and no second buffer is needed. State i's breaks are in the
-    ranks with i < len(rank[0]). The operations are those of _run's loop,
-    in its order (its 0 + x is x), so floats keep their bits.
+    reads them, and no second buffer is needed. The operations are those of
+    _run's loop, in its order (its 0 + x is x), so floats keep their bits.
     """
     ks, ranks = prog.ks, [*prog.earlier, prog.last]
     inner, size = len(prog.last[0]), len(ks)
@@ -428,41 +430,42 @@ def _state_program(n, mask):
     return _compile(n, keys, [(1, n, mask)])
 
 
-@functools.lru_cache(maxsize=1)
 def _tree_program(tree):
-    """One tree, which fixes the first break of every interval: a state per
-    vertex a, over a's interval with the k links of its subtree and the one
-    break a, parents before children. Its sides are the child states, or
-    intact ones listed after every vertex; the empty tree is the intact
-    chain. The last tree asked is kept, as _state_program keeps its state."""
+    """One tree, which fixes the first break of every interval, built per
+    call: a state per vertex a, over a's interval with the k links of its
+    subtree and the one break a, parents first. Its sides are child states
+    or intact ones after every vertex, one for all the empty sides; the
+    empty tree is the intact chain."""
     order = tree.postorder[::-1]
     index = {a: i for i, a in enumerate(order)}
-    intervals = [(tree.lo[a], tree.hi[a]) for a in order] or [(1, tree.n)]
-    last = array("i", order), array("i"), array("i")
+    pieces, ls, rs = {}, [], []
     for a in order:
-        for side, child, lo, hi in ((last[1], tree.left[a], tree.lo[a], a - 1),
-                                    (last[2], tree.right[a], a + 1, tree.hi[a])):
-            side.append(len(intervals) if child is None else index[child])
-            if child is None:
-                intervals.append((lo, hi))
-    ks = [tree._desc[a].bit_count() for a in order] + [0] * (len(intervals) - len(order))
-    return _Program(intervals, array("i", range(len(intervals))), array("i", ks), [], last,
-                    array("i", [0]))
+        lo, hi, left, right = tree.lo[a], tree.hi[a], tree.left[a], tree.right[a]
+        ls.append(index[left] if left is not None else pieces.setdefault(
+            (lo, a - 1) if lo < a else (1, 0), len(order) + len(pieces)))
+        rs.append(index[right] if right is not None else pieces.setdefault(
+            (a + 1, hi) if a < hi else (1, 0), len(order) + len(pieces)))
+    intervals = [(tree.lo[a], tree.hi[a]) for a in order] + list(pieces) or [(1, tree.n)]
+    ks = [0] * len(intervals)
+    for i in reversed(range(len(order))):
+        ks[i] = 1 + ks[ls[i]] + ks[rs[i]]
+    return _Program(intervals, range(len(intervals)), ks, [], (order, ls, rs), (0,))
 
 
 def _step_args(prog, rates):
     """What a program's steps read of the rates: lam = D^k (D - P_I) per
     inner state, the coefficients D^k p(a) of each rank (earlier ones, then
     last) and the intact stays D - P_I."""
-    iv, ks = prog.iv, prog.ks
+    ks, inner = prog.ks, len(prog.last[0])
     D, p = rates.scaled
-    stays = [rates.scaled_stay(lo, hi) for lo, hi in prog.intervals]
+    table = rates.scaled_stays
+    stays = [table[lo][hi - lo + 1] for lo, hi in prog.intervals]
+    stays = [stays[j] for j in prog.iv]
     Dk = [D ** k for k in range(max(ks) + 1)]
-    inner = len(prog.last[0])
-    lam = [Dk[ks[i]] * stays[iv[i]] for i in range(inner)]
+    lam = [Dk[k] * s for k, s in zip(ks, stays[:inner])]
     coefs = [[Dk[k] * p[a] for k, a in zip(ks, links)]
              for links, _, _ in [*prog.earlier, prog.last]]
-    return lam, coefs, [stays[iv[i]] for i in range(inner, len(ks))]
+    return lam, coefs, stays[inner:]
 
 
 def _run(prog, rates, t):
@@ -473,17 +476,18 @@ def _run(prog, rates, t):
     F(u-1) + sum over its breaks a of D^k p(a) F'(u-1) F''(u-1), P_I the
     sum of p over the interval, and an intact one (D - P_I)^u. Exact mode
     runs on ints up to one Fraction per answer; float mode has D^k = 1.0,
-    so its F is f and needs no division. All states advance together:
-    memory is O(states) whatever t. Breaks add in ascending link order, the
-    last inside the update, as the floats always did (0 + x is x for
-    x >= 0), so they keep their bits. A hot program steps through its
-    generated kernel (_generate) instead, and keeps the step arguments of
-    the last rates it ran (_step_args) while rates.scaled is the same
-    object. The key is the object, not its value: at n = 1 the float
-    (1.0, (1, 1.0)) equals the exact (1, (1, 1)), whose arguments are ints.
-    Holding it keeps O(n) numbers alive, not the RateSpec or its sums.
-    Only hot programs keep them: they are bounded by HOT_MAX_TERMS, while
-    the cold programs kept in the caches go up to n = 12 tables.
+    so its F is f and needs no division. All states advance together, or
+    with one break each a block of steps at a time: memory is O(states)
+    whatever t. Breaks add in ascending link order, the last inside the
+    update, as the floats always did (0 + x is x for x >= 0), so they keep
+    their bits. A hot program steps through its generated kernel
+    (_generate) instead, and keeps the step arguments of the last rates it
+    ran (_step_args) while rates.scaled is the same object. The key is the
+    object, not its value: at n = 1 the float (1.0, (1, 1.0)) equals the
+    exact (1, (1, 1)), whose arguments are ints. Holding it keeps O(n)
+    numbers alive, not the RateSpec or its sums. Only hot programs keep
+    them: they are bounded by HOT_MAX_TERMS, while the cold programs kept
+    in the caches go up to n = 12 tables.
     """
     ks, outs = prog.ks, prog.outs
     D = rates.scaled[0]
@@ -501,16 +505,30 @@ def _run(prog, rates, t):
             prog.prepared = rates.scaled, args
     lam, coefs, intact = args
     zeros = [D * 0] * len(lam)
-    f = zeros + [s ** 0 for s in intact]
+    f = zeros + [D ** 0] * len(intact)
     if prog.kernel is not None:
         f = prog.kernel(t, lam, coefs, intact, f)
+    elif not prog.earlier:
+        # one break per state, as in a tree: each state scans a block of
+        # steps after its sides (higher indices), holding 256 values at most
+        (_, ls, rs), inner = prog.last, len(lam)
+        for start in range(0, t, 256):
+            us = range(start, min(start + 256, t))
+            cols = [None] * inner + [[s ** u for u in us] for s in intact]
+            for i in range(inner - 1, -1, -1):
+                a, q, x = lam[i], coefs[0][i], f[i]
+                cols[i] = col = []
+                for y, z in zip(cols[ls[i]], cols[rs[i]]):
+                    col.append(x)
+                    x = a * x + q * y * z
+                f[i] = x
+        f[inner:] = [s ** t for s in intact]
     else:
         *ranks, (last_c, last_l, last_r) = [(c, ls, rs) for c, (_, ls, rs)
                                             in zip(coefs, [*prog.earlier, prog.last])]
         for u in range(1, t + 1):
-            # h: every break but the last, each rank over a prefix of the
-            # states; with no ranks it stays all zeros and needs no copy
-            h = zeros[:] if ranks else zeros
+            # h: every break but the last, each rank over a prefix of the states
+            h = zeros[:]
             for c, ls, rs in ranks:
                 h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
             f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r

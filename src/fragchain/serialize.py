@@ -30,7 +30,7 @@ def _load_json(source, kind, fields, parse_float=float):
         raise ValueError(f"expected a JSON object, got {type(source).__name__}")
     for key in fields:
         if key not in source:
-            raise ValueError(f'{kind} file has no "{key}" field')
+            raise ValueError(f'{kind} without a "{key}" field')
     return source
 
 

@@ -117,7 +117,6 @@ def test_corpus_keeps_its_hash_through_generated_kernels(monkeypatch):
     monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
     probabilities._cached_table_program.cache_clear()
     probabilities._state_program.cache_clear()
-    probabilities._tree_program.cache_clear()
     assert corpus_sha() == CORPUS_SHA
     assert len(generated) > 10
 

@@ -619,7 +619,6 @@ def test_float_golden_pins():
 def _clear_programs():
     probabilities._cached_table_program.cache_clear()
     probabilities._state_program.cache_clear()
-    probabilities._tree_program.cache_clear()
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -704,7 +703,7 @@ def test_generated_kernel_keeps_every_bit(monkeypatch):
         mask = rng.randrange(1 << n)
         G = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
         tree = tree_rng.choice(enumerate_fragmentation_trees(G, n))
-        builds = {"tree": lambda: probabilities._tree_program.__wrapped__(tree)}
+        builds = {"tree": lambda: probabilities._tree_program(tree)}
         if case % 2:
             builds["table"] = lambda: probabilities._build_table_program(n)
         else:
@@ -720,23 +719,35 @@ def test_generated_kernel_keeps_every_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_tree_scan_keeps_every_bit_across_blocks(exact, monkeypatch):
+    # a tree program's cold loop scans 256 steps at a time; horizons on and
+    # past the block edges must give the bits of the generated kernel,
+    # which steps the program one step at a time
+    r = random_rates(6, make_rng(23), total=0.9, exact=exact)
+    trees = [FragTree(6, None), FragTree(6, 3, {3: 1}, {3: 5, 5: 6}),
+             FragTree(6, 1, {}, {1: 2, 2: 3, 3: 4, 4: 5, 5: 6})]
+    for tree in trees:
+        for t in (255, 256, 257, 600):
+            results = []
+            for hot_steps in (10**9, 0):
+                monkeypatch.setattr(probabilities, "HOT_STEPS", hot_steps)
+                prog = probabilities._tree_program(tree)
+                results.append(repr(probabilities._run(prog, r, t)))
+                assert (prog.kernel is None) == bool(hot_steps)
+            assert results[0] == results[1], (tree, t)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_first_call_never_generates(exact, rng):
     # a one-shot call stays on the loop however long its horizon; the next
     # call to the program is past HOT_STEPS and runs the generated kernel
     r = random_rates(4, rng, total=0.9, exact=exact)
     t = probabilities.HOT_STEPS + 20
-    tree = FragTree(4, 3, {3: 1}, {3: 4})
-
-    def results():
-        return (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t),
-                tree_prob_discrete(tree, r, t))
-
     _clear_programs()
-    cold = results()
-    programs = (probabilities._table_program(4), probabilities._state_program(4, 0b101),
-                probabilities._tree_program(tree))
-    assert [prog.kernel for prog in programs] == [None, None, None]
-    hot = results()
+    cold = (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t))
+    programs = (probabilities._table_program(4), probabilities._state_program(4, 0b101))
+    assert [prog.kernel for prog in programs] == [None, None]
+    hot = (dist_discrete_all(r, t).entries, dist_discrete([1, 3], r, t))
     assert all(prog.kernel is not None for prog in programs)
     assert repr(hot) == repr(cold)
 

@@ -40,7 +40,7 @@ def test_fragtree_dict_validation():
     with pytest.raises(ValueError):
         fragtree_from_dict({"links": [1, 5], "root": 4,
                             "edges": [[4, 2], [4, 3]]})  # two left children
-    with pytest.raises(ValueError, match='tree file has no "links" field'):
+    with pytest.raises(ValueError, match='tree without a "links" field'):
         fragtree_from_dict({"root": 3, "edges": []})
 
 

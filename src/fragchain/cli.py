@@ -38,15 +38,14 @@ def _parse_labels(text, tree):
     """Vertex labels of a tree: a token names the one vertex whose str() it
     is, if exactly one has it, and is otherwise read as an int when it has
     only digits, so "01" names the int vertex 1."""
-    vertices = getattr(tree, "vertices", ())  # the empty tree has none
-    names = [str(v) for v in vertices]
+    names = [str(v) for v in tree.vertices]
     out = []
     for x in text.split(","):
         x = x.strip()
         if not x:
             continue
         if names.count(x) == 1:
-            out.append(vertices[names.index(x)])
+            out.append(tree.vertices[names.index(x)])
         else:
             out.append(int(x) if x.lstrip("-").isdigit() else x)
     return out

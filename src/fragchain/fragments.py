@@ -16,9 +16,10 @@ external fragment when the side has no child. The externals, read in
 symmetric (in-)order, are exactly the fragments of G. There are Catalan(|G|)
 fragmentation trees for a given G.
 
-A nonempty FragTree is a trees.RootedTree on G, its children ordered left
-then right: the vertex bitmasks, the edge masks and the pruning order with
-its Mobius function (poset.py) all apply to it directly. Bitmasks follow the
+Every FragTree is a trees.RootedTree on G, its children ordered left then
+right, and the empty one (G = ()) is the rooted tree with no vertices: the
+vertex bitmasks, the edge masks and the pruning order with its Mobius
+function (poset.py) all apply to it directly. Bitmasks follow the
 rooted tree's vertex order (root first, depth-first), while G and edges stay
 in ascending link order.
 """
@@ -110,35 +111,22 @@ class FragTree(RootedTree):
     Constructed from the child maps; intervals and traversals are
     precomputed. It is the rooted tree of its edges, listed in preorder with
     the left child first, so the pruning-order and Mobius functions take it
-    as it is. The empty tree (G = ()) is allowed and has a single external
-    fragment, the whole chain; it has no vertices to build a rooted tree on.
+    as it is. The empty tree (root None, G = ()) is the rooted tree with no
+    vertices; its single external fragment is the whole chain.
     """
 
     def __init__(self, n, root, left=None, right=None):
         left = dict(left or {})
         right = dict(right or {})
         self.n = _chain_n(n)
-        if root is None:
-            if left or right:
-                raise ValueError("empty tree cannot have children")
-            self.G = ()
-            self.root = None
-            self.parent = {}
-            self.left = {}
-            self.right = {}
-            self.lo = {}
-            self.hi = {}
-            self.postorder = ()
-            self._key = (n, ())
-            self._externals = [Fragment(1, n, vertex=None, side="root")]
-            return
-        _links([root, *(c for m in (left, right) for c in m.values() if c is not None)], n)
+        roots = [] if root is None else [root]
+        _links([*roots, *(c for m in (left, right) for c in m.values() if c is not None)], n)
         lo, hi = {}, {}
         order = []
         edges = []
         # each child's interval is a strict part of its parent's, so the walk
         # ends even on child maps with cycles
-        stack = [(root, 1, n)]
+        stack = [(a, 1, n) for a in roots]
         while stack:
             a, alo, ahi = stack.pop()
             if not alo <= a <= ahi:
@@ -216,7 +204,7 @@ class FragTree(RootedTree):
                     out.append(Fragment(self.lo[a], a - 1, vertex=a, side="L"))
                 if self.right[a] is None:
                     out.append(Fragment(a + 1, self.hi[a], vertex=a, side="R"))
-            self._externals = out
+            self._externals = out or [Fragment(1, self.n, side="root")]
         return list(self._externals)
 
     def family(self):
@@ -249,37 +237,16 @@ def enumerate_fragmentation_trees(G, n, budget=DEFAULT_BUDGET):
     if cost > budget:
         raise BudgetError(
             f"|G|={m} needs {cost} terms, over the budget of {budget}")
-    if m == 0:
-        return [FragTree(n, None)]
-
-    cache = {}
-
-    def build(members):
-        if members not in cache:
-            if not members:
-                cache[members] = [None]
-            else:
-                out = []
-                for i, a in enumerate(members):
-                    for lt in build(members[:i]):
-                        for rt in build(members[i + 1:]):
-                            out.append((a, lt, rt))
-                cache[members] = out
-        return cache[members]
-
-    trees = []
-    for node in build(g):
-        left, right = {}, {}
-
-        def collect(nd):
-            a, lt, rt = nd
-            if lt is not None:
-                left[a] = lt[0]
-                collect(lt)
-            if rt is not None:
-                right[a] = rt[0]
-                collect(rt)
-
-        collect(node)
-        trees.append(FragTree(n, node[0], left, right))
-    return trees
+    # sub[i, j]: the trees on the run g[i:j] as (root, left pairs, right
+    # pairs), filled by run length. A root g[r] joins each tree of g[i:r] to
+    # each of g[r+1:j], with a (parent, child) pair to each subtree's root
+    # unless that subtree is the empty run's one tree, whose root is None
+    sub = {(i, i): [(None, (), ())] for i in range(m + 1)}
+    for length in range(1, m + 1):
+        for i in range(m - length + 1):
+            j = i + length
+            sub[i, j] = [(a, ((a, lc),)[:lc is not None] + ll + rl,
+                          ((a, rc),)[:rc is not None] + lr + rr)
+                         for r, a in enumerate(g[i:j], i)
+                         for lc, ll, lr in sub[i, r] for rc, rl, rr in sub[r + 1, j]]
+    return [FragTree(n, a, left, right) for a, left, right in sub[0, m]]

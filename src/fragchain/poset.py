@@ -34,9 +34,7 @@ def _submasks(m):
 
 
 def _edge_masks(tree, *edge_sets):
-    # the empty fragmentation tree has no vertices, so no pruning order
-    if not hasattr(tree, "vertices"):
-        raise ValueError("the empty tree has no vertices")
+    _t._need_vertices(tree)
     return [tree.edge_mask(es) for es in edge_sets]
 
 
@@ -171,7 +169,7 @@ def hasse_edges(tree, max_edges=16):
     Pairs are exactly (K u {e}, K) for K any edge set and e an edge of the
     stump tree of K. Deterministic order: K by size then mask, e ascending.
     Bounded: rejects trees with more than max_edges edges."""
-    _edge_masks(tree)  # rejects the empty fragmentation tree
+    _t._need_vertices(tree)
     if tree.n_edges > max_edges:
         raise ValueError(
             f"hasse_edges is limited to {max_edges} edges ({tree.n_edges} given)")

@@ -80,9 +80,10 @@ class RateSpec:
     as a float. Fraction (or int) rates switch the discrete formulas into
     exact arithmetic. scaled = (D, p) is the rates' integer form, built once:
     rho(a) = p[a]/D and p[0] = 1, with D the lcm of the rate denominators
-    (1.0 for float rates). Every sum over a run of links is read from one
-    table, sums, built on first use. as_float() builds the float twin once
-    and keeps it, so caches keyed by it hit.
+    (1.0 for float rates). Every sum over a run of links, and every stay
+    1 - rho(run), is read from one table, sums, built on first use.
+    as_float() builds the float twin once and keeps it, so caches keyed by
+    it hit.
     """
 
     def __init__(self, mode, rho):
@@ -136,16 +137,11 @@ class RateSpec:
         s = self.sums[lo][hi - lo + 1]
         return Fraction(s, self.scaled[0]) if self.exact else s
 
-    @functools.cached_property
-    def scaled_stays(self):
-        """scaled_stays[lo][k] = D - sums[lo][k], clamped at 0: float rates
+    def scaled_stay(self, lo, hi):
+        """D - (p[lo] + ... + p[hi]) from sums, clamped at 0: float rates
         summing to 1 can leave a negative rounding residue."""
         D = self.scaled[0]
-        return [None] + [[max(D - s, D * 0) for s in row] for row in self.sums[1:]]
-
-    def scaled_stay(self, lo, hi):
-        """D - (p[lo] + ... + p[hi]), read from scaled_stays."""
-        return self.scaled_stays[lo][hi - lo + 1]
+        return max(D - self.sums[lo][hi - lo + 1], D * 0)
 
     def stay(self, lo, hi):
         """1 - rho(lo..hi), clamped at 0, in the rates' own arithmetic."""
@@ -458,8 +454,7 @@ def _step_args(prog, rates):
     last) and the intact stays D - P_I."""
     ks, inner = prog.ks, len(prog.last[0])
     D, p = rates.scaled
-    table = rates.scaled_stays
-    stays = [table[lo][hi - lo + 1] for lo, hi in prog.intervals]
+    stays = [rates.scaled_stay(lo, hi) for lo, hi in prog.intervals]
     stays = [stays[j] for j in prog.iv]
     Dk = [D ** k for k in range(max(ks) + 1)]
     lam = [Dk[k] * s for k, s in zip(ks, stays[:inner])]

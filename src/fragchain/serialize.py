@@ -52,9 +52,7 @@ def _edges(d):
 
 
 def fragtree_to_dict(tree):
-    rooted = (rootedtree_to_dict(tree) if tree.root is not None
-              else {"root": None, "edges": []})
-    return {"links": [1, tree.n], **rooted}
+    return {"links": [1, tree.n], **rootedtree_to_dict(tree)}
 
 
 def fragtree_from_dict(source):

@@ -277,8 +277,6 @@ EMPTY, FIRE, CUT, DEP, IND = "empty", "fire", "cut", "dep", "ind"
 def external_slots(tree):
     """(key, fragment) for the childless sides, in left-to-right order. Keys
     are ("ext", vertex, side); the empty tree has the single root slot."""
-    if tree.root is None:
-        return [(("ext", None, "root"), tree.externals()[0])]
     return [(("ext", f.vertex, f.side), f) for f in tree.externals()]
 
 

@@ -34,27 +34,28 @@ class RootedTree:
     """A finite rooted tree with ordered children.
 
     Built from the root label and an iterable of (parent, child) edges.
-    Children keep the order in which their edges appear.
+    Children keep the order in which their edges appear. RootedTree(None)
+    is the empty tree: no vertices, no edges and every mask 0.
     """
 
     def __init__(self, root, edges=()):
         edges = [(a, b) for a, b in edges]
+        stack = [] if root is None else [root]
         parent = {}
-        children = {root: []}
+        children = {v: [] for v in stack}
         for a, b in edges:
             if b == root or b in parent:
                 raise ValueError(f"vertex {b!r} has two parent edges")
             parent[b] = a
             children.setdefault(a, []).append(b)
             children.setdefault(b, [])
-        # depth-first order, root first; also validates connectivity
+        # depth-first order, root first; every vertex an edge names must be reached
         order = []
-        stack = [root]
         while stack:
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(children[v]))
-        if len(order) != len(parent) + 1:
+        if len(order) != len(children):
             raise ValueError(f"edges do not form a tree rooted at {root!r}")
         self.root = root
         self.vertices = tuple(order)
@@ -67,7 +68,7 @@ class RootedTree:
     # built on first use: tree enumeration and classification never read them
     @cached_property
     def _anc(self):
-        anc = {self.root: 1}
+        anc = dict.fromkeys(self.vertices[:1], 1)  # the root's, if any
         for v in self.vertices[1:]:
             anc[v] = anc[self.parent[v]] | (1 << self._bit[v])
         return anc
@@ -87,7 +88,7 @@ class RootedTree:
 
     @property
     def n_edges(self):
-        return len(self.vertices) - 1
+        return len(self.parent)
 
     @property
     def edge_labels(self):
@@ -142,6 +143,12 @@ class RootedTree:
                     m |= comp[c]
             comp[v] = m
         return comp
+
+
+def _need_vertices(tree):
+    # the empty tree has no root, so no order and no cut sets
+    if not tree.vertices:
+        raise ValueError("the empty tree has no vertices")
 
 
 def stump_mask(tree, hmask):
@@ -226,6 +233,7 @@ def enumerate_stump_cut_sets(tree):
     either cut it or take one of the child's own cut sets below it. Output is
     sorted by size then by vertex-order mask.
     """
+    _need_vertices(tree)
     below = {}
     for v in reversed(tree.vertices):
         acc = [0]

@@ -184,3 +184,22 @@ def bf_cut_set_sum(tree, w):
             stump = bf_component(tree, tree.root, H)
             out[stump] = out.get(stump, 0) + term
     return out
+
+
+def bf_fragmentation_tree_keys(G, n):
+    """Structure keys of the fragmentation trees of G in the documented
+    order: root ascending, then the left subtree's order, then the right's,
+    by plain recursion over nested {vertex: parent} dicts."""
+    g = sorted(G)
+
+    def trees(links, parent):
+        if not links:
+            yield {}
+            return
+        for i, a in enumerate(links):
+            for left in trees(links[:i], a):
+                for right in trees(links[i + 1:], a):
+                    yield {a: parent, **left, **right}
+
+    for t in trees(g, None):
+        yield (n, tuple((a, t[a]) for a in g))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from fragchain import (BudgetError, FragTree, Fragment, RootedTree, catalan,
                        chain_fragments, enumerate_fragmentation_trees,
                        fragment_family, fragments_of, minimal_vertices)
+from fragchain.poset import down_set, hasse_edges
 from fragchain.serialize import fragtree_from_dict, fragtree_to_dict
+from fragchain.trees import enumerate_stump_cut_sets, stump_set
 
-from oracles import bf_fragments
+from oracles import bf_fragmentation_tree_keys, bf_fragments
 
 
 @st.composite
@@ -97,6 +99,30 @@ def test_fragtree_empty():
     assert t.G == () and t.root is None
     assert [(f.lo, f.hi) for f in t.externals()] == [(1, 4)]
     assert minimal_vertices(t, t.G) == frozenset()
+
+
+def test_empty_fragtree_answers_or_refuses():
+    # the empty tree is the rooted tree with no vertices
+    t = FragTree(4, None)
+    assert t.vertices == () and t.n_vertices == t.n_edges == 0
+    assert t.edge_labels == () and t.all_mask == 0
+    assert t.component_masks(0) == {} and t._anc == t._desc == {}
+    assert stump_set(t, ()) == frozenset()
+    for call in (lambda: down_set(t, ()), lambda: hasse_edges(t),
+                 lambda: enumerate_stump_cut_sets(t)):
+        with pytest.raises(ValueError, match="^the empty tree has no vertices$"):
+            call()
+    with pytest.raises(ValueError):
+        RootedTree(None, [(1, 2)])
+
+
+def test_enumeration_order_matches_recursive_oracle():
+    # the documented order, key by key, for every state of every chain up to 7
+    for n in range(1, 8):
+        for mask in range(1 << n):
+            G = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+            got = [t.structure_key() for t in enumerate_fragmentation_trees(G, n)]
+            assert got == list(bf_fragmentation_tree_keys(G, n)), (G, n)
 
 
 def test_enumeration_counts_catalan():

@@ -56,8 +56,7 @@ def _load_tree_any(path):
     rooted tree {"root": ..., "edges": ...}."""
     from . import serialize
 
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = serialize._load_json(path, "tree", ("root",))
     if "links" in d:
         return serialize.fragtree_from_dict(d)
     return serialize.rootedtree_from_dict(d)

@@ -158,6 +158,7 @@ class FragTree(RootedTree):
         self.postorder = tuple(order)
         self._key = (n, tuple((a, self.parent.get(a)) for a in self.G))
         self._externals = None
+        self._slots = None  # simulate._slot_program's (scaled, program)
 
     # -- basics ----------------------------------------------------------
 

@@ -71,6 +71,19 @@ HOT_STEPS = 100
 HOT_MAX_TERMS = 2**11
 
 
+class _Rows(dict):
+    """RateSpec.sums: row lo, [0, p[lo], p[lo] + p[lo + 1], ...], made on its
+    first read; a lo outside 1..n + 1 is a KeyError, never a row of p[0]."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __missing__(self, lo):
+        if not (_is_int(lo) and 0 < lo <= len(self.p)):
+            raise KeyError(lo)
+        return self.setdefault(lo, [0, *accumulate(self.p[lo:])])
+
+
 class RateSpec:
     """Validated per-link rates.
 
@@ -81,9 +94,9 @@ class RateSpec:
     exact arithmetic. scaled = (D, p) is the rates' integer form, built once:
     rho(a) = p[a]/D and p[0] = 1, with D the lcm of the rate denominators
     (1.0 for float rates). Every sum over a run of links, and every stay
-    1 - rho(run), is read from one table, sums, built on first use.
-    as_float() builds the float twin once and keeps it, so caches keyed by
-    it hit.
+    1 - rho(run), is read from one table, sums, whose row for a first link
+    is built on its first read. as_float() builds the float twin once and
+    keeps it, so caches keyed by it hit.
     """
 
     def __init__(self, mode, rho):
@@ -129,8 +142,7 @@ class RateSpec:
         """sums[lo][k] = p[lo] + ... + p[lo + k - 1] in the integer form, for
         1 <= lo <= n + 1, added in link order (not by the built-in sum, which
         compensates floats from 3.12 on); sums[lo][0] = 0 is the empty run."""
-        p = self.scaled[1]
-        return [None] + [[0, *accumulate(p[lo:])] for lo in range(1, len(p) + 1)]
+        return _Rows(self.scaled[1])
 
     def rho_run(self, lo, hi):
         """rho(lo..hi) in the rates' own arithmetic; 0 for hi = lo - 1."""

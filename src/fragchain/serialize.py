@@ -207,23 +207,17 @@ def tree_to_dot(tree, cut=(), name="T"):
 def fragtree_to_dot(tree, cut=(), name="F"):
     """DOT of a fragmentation tree with its external fragments as leaf boxes."""
     cutset = set(cut)
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
-    lines.append('  "root" [shape=point];')
-    if tree.root is None:
-        frag = tree.externals()[0]
-        lines.append(f'  "x0" [shape=box, label="{frag.label()}"];')
-        lines.append('  "root" -> "x0";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    lines.append(f'  "root" -> "{tree.root}" [label="{{1..{tree.n}}}"];')
+    lines = [f"digraph {name} {{", "  node [shape=circle];", '  "root" [shape=point];',
+             f'  "root" -> "{tree.root}" [label="{{1..{tree.n}}}"];' if tree.G
+             else '  "root" -> "x0";']
+    exts = {}
     for i, frag in enumerate(tree.externals()):
+        exts[frag.vertex, frag.side] = i
         lines.append(f'  "x{i}" [shape=box, label="{frag.label()}"];')
-    exts = {("ext", f.vertex, f.side): i for i, f in enumerate(tree.externals())}
     for a in tree.postorder:
         for side, c in (("L", tree.left[a]), ("R", tree.right[a])):
             if c is None:
-                i = exts[("ext", a, side)]
-                lines.append(f'  "{a}" -> "x{i}" [style=dotted];')
+                lines.append(f'  "{a}" -> "x{exts[a, side]}" [style=dotted];')
             else:
                 style = ", style=dashed" if c in cutset else ""
                 lo, hi = tree.lo[c], tree.hi[c]

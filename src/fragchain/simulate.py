@@ -19,7 +19,8 @@ discrete one as it breaks links, bisecting the float rates' running sums
 (RateSpec.sums), the continuous one by a Cartesian-tree pass over its
 removal times. A batch counts codes and decodes each distinct one once,
 cheap while trajectories share trees (short chains) and codes stay a word
-or two. tests/test_simulate.py pins the streams.
+or two. The slot samplers' program reads its law from the float rates, and
+the tree keeps its last one. tests/test_simulate.py pins the streams.
 """
 
 import _random
@@ -294,49 +295,41 @@ def child_slot_keys(tree, alpha):
 def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
     """One joint sample of every slot variable of the tree, bottom-up."""
     _need(rates, "discrete", "the auxiliary slot process", tree=tree)
-    program = _slot_program(tree, rates.as_float().scaled[1])
+    program = _slot_program(tree, rates)
     rand = _random.Random(_key(seed, index)).random
     return dict(zip(program[0], _draw_slots(program, rand)))
 
 
-@functools.lru_cache(maxsize=16)
-def _slot_program(tree, p):
-    """(keys, externals, internals, layout), slots numbered as in keys =
-    slot_order(tree). externals: (slot, rho(J)) per nonempty external J.
-    internals, bottom-up: (slot, child slots, lam_a, 1 - rho(I_a), that plus
-    rho(a)). layout[a], for a vertex a or None (the root's parent): (slot
-    of a, children of a, slots of the externals anchored at a).
-
-    p is the float rates' RateSpec.scaled[1], rho(a) = p[a]: the program
-    reads nothing else of them, so the cache keeps no RateSpec alive, nor
-    its sums table. Runs add in link order and stays clamp at 0, as the
-    RateSpec's do, so the floats keep their bits. Its callers check n."""
-
-    def run(lo, hi):
-        s = 0
-        for a in range(lo, hi + 1):
-            s += p[a]
-        return s
-
-    def stay(lo, hi):
-        return max(1.0 - run(lo, hi), 0.0)
-
+def _slot_program(tree, rates):
+    """(keys, externals, internals, layout) of the float twin of rates,
+    slots numbered as in keys = slot_order(tree). externals: (slot, rho(J))
+    per nonempty external J. internals, bottom-up: (slot, child slots, lam_a,
+    1 - rho(I_a), that plus rho(a)), from _internal_law. layout[a], for a
+    vertex a or None (the root's parent): (slot of a, children of a, slots
+    of the externals anchored at a). The tree keeps the last one with its
+    float rates' scaled, matched by identity as in _run, not the RateSpec
+    (nor its sums). Callers check n."""
+    rates = rates.as_float()
+    kept = tree._slots  # read once, whatever another thread stores
+    if kept is not None and kept[0] is rates.scaled:
+        return kept[1]
     ext = external_slots(tree)
     keys = tuple(slot_order(tree))
     slot = {k: i for i, k in enumerate(keys)}
-    externals = tuple((slot[k], run(frag.lo, frag.hi)) for k, frag in ext if not frag.empty)
+    externals = tuple((slot[k], rates.rho_run(f.lo, f.hi)) for k, f in ext if not f.empty)
     internals = []
     for a in tree.postorder:
         kl, kr = child_slot_keys(tree, a)
-        lo, hi = tree.lo[a], tree.hi[a]
-        still = stay(lo, hi)
+        lam_a, law = _internal_law(tree, rates, a)
         internals.append((slot["int", a], slot[kl], slot[kr],
-                          stay(lo, a - 1) * stay(a + 1, hi), still, still + p[a]))
-    layout = {a: (slot.get(("int", a)),
-                  tuple(c for c in tree.G if tree.parent.get(c) == a),
-                  tuple(slot[k] for k, _ in ext if k[1] == a))
-              for a in (None,) + tree.G}
-    return keys, externals, tuple(internals), layout
+                          lam_a, law[EMPTY], law[EMPTY] + law[CUT]))
+    layout = {a: (slot.get(("int", a)), tree.children.get(a, tree.vertices[:1]), [])
+              for a in (None,) + tree.G}  # None is no vertex: its child is the root
+    for k, _ in ext:
+        layout[k[1]][2].append(slot[k])
+    program = keys, externals, tuple(internals), layout
+    tree._slots = rates.scaled, program
+    return program
 
 
 def _draw_slots(program, rand):
@@ -412,16 +405,13 @@ def support_atoms(tree, rates):
 def aux_consistent(tree, x):
     """The consistency law: whenever an internal slot is anything but IND,
     every slot strictly inside its interval reads EMPTY."""
+    quiet = {}  # internal slot key: it and every slot inside read EMPTY
     for a in tree.postorder:
-        if x[("int", a)] == IND:
-            continue
-        stack = list(child_slot_keys(tree, a))
-        while stack:
-            k = stack.pop()
-            if x[k] != EMPTY:
-                return False
-            if k[0] == "int":
-                stack.extend(child_slot_keys(tree, k[1]))
+        inside = all(quiet[k] if k[0] == "int" else x[k] == EMPTY
+                     for k in child_slot_keys(tree, a))
+        if not inside and x["int", a] != IND:
+            return False
+        quiet["int", a] = inside and x["int", a] == EMPTY
     return True
 
 
@@ -483,7 +473,7 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     never resolved. Returns (Trajectory, failure_step or None).
     """
     steps = _need(rates, "discrete", "the coupled construction", t_max, tree)
-    program = _slot_program(tree, rates.as_float().scaled[1])
+    program = _slot_program(tree, rates)
     rand = _random.Random(_key(seed, index)).random
     removed, failure = _coupled_run(program, steps, rand)
     times = {a: removed.get(a, INF) for a in range(1, tree.n + 1)}
@@ -495,7 +485,7 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     trajectory counts when it never failed and sits at the tree's state at
     time t. Companion route to estimate_tree_prob."""
     steps = _horizon(rates, "discrete", "the coupled construction", t, tree)
-    program, size = _slot_program(tree, rates.as_float().scaled[1]), len(tree.G)
+    program, size = _slot_program(tree, rates), len(tree.G)
     keys, reseed, rand = _keyed(seed, samples)
     hits = 0
     for key in keys:

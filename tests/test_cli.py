@@ -160,6 +160,14 @@ def test_trees_json(capsys):
     assert all(d["links"] == [1, 4] for d in payload)
 
 
+def test_trees_dot_of_the_empty_state(capsys):
+    # the empty tree is one box, the whole chain, under the root point
+    assert run(["trees", "--links", "3", "--subset", "", "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[shape=box") == 1 and '[shape=box, label="{1,2,3}"]' in out
+    assert out.count("->") == 1 and '  "root" -> "x0";\n' in out
+
+
 def test_trees_budget_exceeded():
     assert run(["trees", "--links", "5", "--subset", "2,4",
                 "--format", "count", "--budget", "1"]) == 3
@@ -645,6 +653,23 @@ def test_malformed_tree_file_exits_2(content, rates_file, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 3 and all(line.startswith("error:") for line in lines)
+
+
+@pytest.mark.parametrize("content", [5, None, True, "other"],
+                         ids=["number", "null", "bool", "string"])
+def test_tree_file_that_is_no_json_object_exits_2(content, rates_file, tree_file,
+                                                  tmp_path, capsys):
+    # a JSON string is no file name: the tree file names no other file
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(tree_file if content == "other" else content))
+    for args in (["treeprob", "--rates", rates_file, "--time", "2"], ["poset"],
+                 ["mobius", "--from", "3", "--to", ""],
+                 ["simulate", "--rates", rates_file, "--time", "2"]):
+        assert run(args + ["--tree", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected a JSON object, got ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args, content, field", [

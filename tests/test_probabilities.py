@@ -87,6 +87,32 @@ def test_ratespec_run_sums_and_stays(exact):
     assert r.stay(1, 6) >= 0 and type(r.stay(1, 6)) is type(r.one)
 
 
+def test_ratespec_rows_are_built_on_first_read():
+    r = RateSpec("discrete", {1: 0.25, 2: 0.5})
+    assert r.sums[3] == [0] and list(r.sums) == [3]  # the empty run after link 2
+    assert r.sums[2] == [0, 0.5] and r.sums[1] == [0, 0.25, 0.75]
+    for lo in (0, -1, 4, "1", None):  # never a row of the scaled form's leading 1
+        with pytest.raises(KeyError):
+            r.sums[lo]
+    assert len(r.sums) == 3
+
+
+def test_long_chain_state_reads_three_rows():
+    # two links of a 5000-link chain read the rows of the intervals' first
+    # links, not a table of every run; the value is the full table's
+    n = 5000
+    r = RateSpec("discrete", {a: 0.9 / n for a in range(1, n + 1)})
+    tracemalloc.start()
+    try:
+        p = dist_discrete([1700, 3300], r, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(p) == "1.5034263811768674e-15"
+    assert len(r.sums) <= 4
+    assert peak <= 4 * 2**20
+
+
 @pytest.mark.parametrize("rho", [{1: 0.25, 2: 0.5}, {1: Fraction(1, 4), 2: Fraction(1, 2)},
                                  {1: 0.25, 2: Fraction(1, 2)}],
                          ids=["float", "exact", "mixed"])

@@ -140,6 +140,27 @@ def test_fragtree_dot(ref_frag_tree):
     assert "digraph" in dot and "box" in dot
 
 
+def test_fragtree_dot_pinned(ref_frag_tree):
+    # the root edge, the external boxes left to right, then each vertex's
+    # sides bottom-up; a cut edge is dashed
+    assert fragtree_to_dot(ref_frag_tree, cut={4}) == """digraph F {
+  node [shape=circle];
+  "root" [shape=point];
+  "root" -> "3" [label="{1..6}"];
+  "x0" [shape=box, label="{}"];
+  "x1" [shape=box, label="{2}"];
+  "x2" [shape=box, label="{}"];
+  "x3" [shape=box, label="{5,6}"];
+  "1" -> "x0" [style=dotted];
+  "1" -> "x1" [style=dotted];
+  "4" -> "x2" [style=dotted];
+  "4" -> "x3" [style=dotted];
+  "3" -> "1" [label="{1..2}"];
+  "3" -> "4" [label="{4..6}", style=dashed];
+}
+"""
+
+
 def test_hasse_dot(path2):
     dot = hasse_to_dot(path2, highlight_from={2, 1})
     assert "digraph" in dot

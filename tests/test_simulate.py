@@ -547,16 +547,18 @@ def test_coupled_matches_direct_estimate(rates5):
 
 def test_exact_rates_keep_their_float_twin(ref_aux_tree, rates5_exact):
     assert rates5_exact.as_float() is rates5_exact.as_float()
-    simulate._slot_program.cache_clear()  # keyed by the float twin
+    kept = []  # the tree keeps the program of the float twin's scaled
     for _ in range(2):
         estimate_tree_prob_coupled(ref_aux_tree, rates5_exact, 3, 10, seed=SEED)
-    assert simulate._slot_program.cache_info().hits == 1
+        kept.append(ref_aux_tree._slots[1])
+    assert kept[0] is kept[1]
 
 
 def test_slot_program_reads_the_specs_floats():
-    # the program adds its own runs; they must be the spec's floats, bit for
-    # bit, or the seeded slot draws would move. The first rates add up to
-    # 1 + 2**-52 in link order, so the whole chain's stay is clamped to 0
+    # the program reads its runs from the float twin; they must be the
+    # spec's floats, bit for bit, or the seeded slot draws would move. The
+    # first rates add up to 1 + 2**-52 in link order, so the whole chain's
+    # stay is clamped to 0
     rng = random.Random(31)
     for case in range(40):
         n = rng.randint(1, 9) if case else 4
@@ -566,7 +568,7 @@ def test_slot_program_reads_the_specs_floats():
         rf = r.as_float()
         G = sorted(rng.sample(range(1, n + 1), rng.randint(0, n))) if case else [2]
         tree = rng.choice(enumerate_fragmentation_trees(G, n))
-        keys, externals, internals, _ = simulate._slot_program(tree, rf.scaled[1])
+        keys, externals, internals, _ = simulate._slot_program(tree, rf)
         slot = {k: i for i, k in enumerate(keys)}
         assert list(externals) == [(slot[k], rf.rho_run(f.lo, f.hi))
                                    for k, f in external_slots(tree) if not f.empty]
@@ -577,9 +579,19 @@ def test_slot_program_reads_the_specs_floats():
         assert [x[3:] for x in internals] == want
 
 
+def test_slot_program_on_a_long_chain_reads_few_rows():
+    # a 2-vertex tree's slots read the rows of a handful of first links
+    n = 2000
+    r = RateSpec("discrete", {a: 0.9 / n for a in range(1, n + 1)})
+    tree = FragTree(n, 3, {}, {3: 4})
+    x = sample_aux(tree, r, SEED, 0)
+    assert set(x) == set(slot_order(tree))
+    assert len(r.as_float().sums) <= 6
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_slot_programs_keep_no_dropped_ratespec_alive(ref_aux_tree, exact):
-    # the cache is keyed by the float rates the program reads, so it keeps
+    # the tree keeps its program with the float twin's scaled, so it keeps
     # neither the spec, nor its float twin, nor their sums tables
     r = random_rates(5, random.Random(4), total=Fraction(9, 10) if exact else 0.9,
                      exact=exact)
@@ -590,7 +602,7 @@ def test_slot_programs_keep_no_dropped_ratespec_alive(ref_aux_tree, exact):
     del r
     gc.collect()
     assert [ref() for ref in gone] == [None, None]
-    assert simulate._slot_program.cache_info().currsize > 0
+    assert ref_aux_tree._slots is not None
 
 
 def test_coupled_respects_tree_order(rates5):

@@ -11,22 +11,17 @@ links. Discrete-chain probabilities have three routes:
   A program per table or state lists each interval state it reaches once
   (O(|G|^2) for a state) and advances them all a step at a time, in memory
   that does not grow with t. Every term is nonnegative, so float results
-  are accurate in relative terms. A program that is stepped often becomes
-  one generated straight-line function, which does the same operations in
-  the same order about twice as fast, so results keep their bits. Two gates
-  decide it. A program is generated only once it has run HOT_STEPS steps
-  over its calls, about what generating costs, so a one-shot call never
-  pays for it. A program of more than HOT_MAX_TERMS states plus breaks is
-  never generated, as compiling takes some 3 KiB of peak memory per term
-  (12 MiB for an n = 8 table). A hot program also keeps what its steps
-  read of the last rates it ran (the lambdas, the coefficients and the
-  stays) while it runs the same RateSpec.scaled object; that was about a
-  third of a hot n = 6 table call. The key is the object, not its value:
-  at n = 1 float and exact rates can be equal with arguments of another
-  type. It holds O(n) numbers, not the RateSpec, and only hot programs,
-  which HOT_MAX_TERMS bounds, keep any. With the root of every interval
-  fixed the recursion gives one tree's probability, by a program of one
-  state per vertex, which the loop scans a block of steps at a time;
+  are accurate in relative terms. A program that has run HOT_STEPS steps
+  over its calls, about what generating costs, steps through generated
+  straight-line code, one function per mode (_generate): the loop's
+  operations in its order, so results keep their bits, but only those its
+  outputs read. A one-shot call never pays for it, and a program of more
+  than HOT_MAX_TERMS states plus breaks is never generated. A hot program
+  also keeps the step arguments of the last rates it ran (_run), O(n)
+  numbers; that was about a third of a hot n = 6 table call. With the root
+  of every interval fixed the recursion gives one tree's probability, by a
+  program of one state per vertex, which the loop scans a block of steps
+  at a time;
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the cut
   sets of its edges, with the waiting-rate denominators of lambda_diff, by
@@ -54,6 +49,7 @@ import functools
 import math
 import sys
 from array import array
+from collections import Counter
 from itertools import accumulate
 from fractions import Fraction
 
@@ -67,7 +63,8 @@ GENERATOR_MAX_RT = 10_000
 #: generates its kernel: about as many as the generation costs
 HOT_STEPS = 100
 #: largest program generated, in states plus breaks: tables up to n = 7 and
-#: single states up to |G| = 21
+#: single states up to |G| = 21. Generating a kernel peaks at some 3 KiB per
+#: term in float mode and 4 KiB in exact mode (12 MiB for an n = 8 table)
 HOT_MAX_TERMS = 2**11
 
 
@@ -114,9 +111,14 @@ class RateSpec:
         p = [rho[a] for a in range(1, n + 1)]
         D = math.lcm(*(v.denominator for v in p)) if self.exact else 1.0
         p = [v.numerator * (D // v.denominator) for v in p] if self.exact else p
-        *_, total = accumulate(p)  # in link order, as the run sums add
+        try:
+            *_, total = accumulate(p)  # in link order, as the run sums add
+        except OverflowError:  # an int past the float range met a float
+            total = math.inf
         if not (Fraction(total, D) if self.exact else total) <= sys.float_info.max:
             raise ValueError("rates and their total must be finite as floats")
+        if mode == "continuous" and not all(float(v) > 0 for v in rho.values()):
+            raise ValueError("continuous rates must be positive as floats")
         if mode == "discrete" and total > (D if self.exact else 1 + 1e-12):
             raise ValueError("discrete rates must sum to at most 1")
         self.scaled = D, (1, *p)
@@ -359,8 +361,9 @@ def _compile(n, keys, tops):
 
 class _Program:
     """An interval recursion (_compile, _tree_program), the steps it has run
-    over all its calls, and once they reach HOT_STEPS its generated kernel
-    and, in prepared, (rates.scaled, step arguments) of the last rates run."""
+    over all its calls, and once they reach HOT_STEPS its kernels by mode
+    (_generate) and, in prepared, (rates.scaled, step arguments) of the last
+    rates run."""
 
     __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel",
                  "prepared")
@@ -374,40 +377,63 @@ class _Program:
 
 
 def _generate(prog):
-    """The program as one straight-line Python function
-    kernel(t, lam, coefs, intact, f) -> f after t steps from f, with lam,
-    the coefficients of each rank (earlier ones, then last) and the intact
-    stays as _step_args forms them, so one kernel serves every rate and
-    horizon.
+    """The program's kernels: kernels(rates.exact), generated on a mode's
+    first call, is a straight-line function kernel(t, lam, coefs, intact,
+    f) -> the outputs after t steps from the start f, on _step_args's
+    arguments, so it serves any rate and horizon.
 
-    Every state's value lives in a local. Each step updates the inner states
-    in index order, f_i = lam_i f_i + (sum of c f' f'' over its breaks in
-    ascending link order), then the intact ones, s ** u. A state's sides
-    have fewer links, so higher indices: they still hold step u - 1 when it
-    reads them, and no second buffer is needed. The operations are those of
-    _run's loop, in its order (its 0 + x is x), so floats keep their bits.
+    Each state's value is a local. Step 1 is closed: a state over one link
+    holds its coefficient, an intact one its stay, others 0. Later steps
+    form once each c f' that breaks share (one coefficient D^k p(a), one
+    left side), update the inner states in index order, f_i = lam_i f_i +
+    (sum of c f' f'' over its breaks by link), then the intact ones, s ** u,
+    and the last step only the outputs. Sides have higher indices, so still
+    hold step u - 1 when read. Float mode has D^k = 1.0 and drops sides over
+    empty intervals, which hold 1.0. These are _run's operations in its
+    order (0 + x is x, c f' f'' is (c f') f''), so floats keep their bits.
+    The kernels hold the program's arrays, not the program, which holds them.
     """
-    ks, ranks = prog.ks, [*prog.earlier, prog.last]
-    inner, size = len(prog.last[0]), len(ks)
-    values = ", ".join(f"f{i}" for i in range(size))
-    lines = ["def kernel(t, lam, coefs, intact, f):",
-             f"    {values}, = f"]
-    for names, source in [([f"m{i}" for i in range(inner)], "lam"),
-                          ([f"s{i}" for i in range(inner, size)], "intact"),
-                          *[([f"c{j}_{i}" for i in range(len(rank[0]))], f"coefs[{j}]")
-                            for j, rank in enumerate(ranks)]]:
-        if names:
-            lines.append(f"    {', '.join(names)}, = {source}")
-    lines.append("    for u in range(1, t + 1):")
+    return functools.cache(functools.partial(
+        _kernel, prog.intervals, prog.iv, prog.ks, [*prog.earlier, prog.last], prog.outs))
+
+
+def _kernel(intervals, iv, ks, ranks, outs, exact):
+    inner = len(ranks[-1][0])
+    ones = {i for i, j in enumerate(iv) if not exact and intervals[j][1] < intervals[j][0]}
+    classes, breaks = {}, [[] for _ in ks]
+    for j, (links, ls, rs) in enumerate(ranks):
+        for i, a in enumerate(links):
+            c = f"c{ks[i] if exact else ''}_{a}"  # its class: k and a, or a alone
+            classes.setdefault(c, f"coefs[{j}][{i}]")
+            breaks[i].append((c, ls[i], rs[i]))
+    seed = {}  # step 1 of the inner states, one chained assignment per value
     for i in range(inner):
-        terms = [f"c{j}_{i} * f{rank[1][i]} * f{rank[2][i]}"
-                 for j, rank in enumerate(ranks) if i < len(rank[0])]
-        lines.append(f"        f{i} = m{i} * f{i} + ({' + '.join(terms)})")
-    lines += [f"        f{i} = s{i} ** u" for i in range(inner, size)]
-    lines.append(f"    return [{values}]")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<interval program of {size} states>", "exec"),
-         namespace)
+        seed.setdefault(breaks[i][0][0] if ks[i] == 1 else "0" if exact else "0.0",
+                        []).append(f"f{i} = ")
+
+    def step(states, u):
+        uses = Counter((c, l) for i in states for c, l, _ in breaks[i] if l not in ones)
+        lines = [f"g{c}_{l} = {c} * f{l}" for (c, l), k in uses.items() if k > 1]
+        for i in states:
+            terms = [(f"g{c}_{l}" if uses[c, l] > 1 else c if l in ones else f"{c} * f{l}")
+                     + ("" if r in ones else f" * f{r}") for c, l, r in breaks[i]]
+            if terms or i not in ones:
+                lines.append(f"f{i} = m{i} * f{i} + ({' + '.join(terms)})" if terms
+                              else f"f{i} = s{i} ** {u}")
+        return ["        " + line for line in lines]
+
+    lines = ["def kernel(t, lam, coefs, intact, f):", "    if t < 1:",
+             f"        return [{', '.join(f'f[{i}]' for i in outs)}]",
+             f"    [{', '.join(f'm{i}' for i in range(inner))}] = lam",
+             f"    [{', '.join(f's{i}' for i in range(inner, len(ks)))}] = "
+             f"[{', '.join(f'f{i}' for i in range(inner, len(ks)))}] = intact",
+             *[f"    {c} = {source}" for c, source in classes.items()],
+             *[f"    {''.join(names)}{value}" for value, names in seed.items()],
+             "    for u in range(2, t):", *step(range(len(ks)), "u"),
+             "    if t > 1:", *step(sorted(set(outs)), "t"),
+             f"    return [{', '.join(f'f{i}' for i in outs)}]"]
+    exec(compile("\n".join(lines), f"<interval program of {len(ks)} states>", "exec"),
+         namespace := {})
     return namespace["kernel"]
 
 
@@ -498,8 +524,7 @@ def _run(prog, rates, t):
     """
     ks, outs = prog.ks, prog.outs
     D = rates.scaled[0]
-    # a first call never generates, so one-shot programs stay on the loop;
-    # generating takes some 3 KiB of peak memory per state and break
+    # a first call never generates, so one-shot programs stay on the loop
     if (prog.kernel is None and prog.steps >= HOT_STEPS
             and len(ks) + sum(ks) <= HOT_MAX_TERMS):
         prog.kernel = _generate(prog)
@@ -514,7 +539,7 @@ def _run(prog, rates, t):
     zeros = [D * 0] * len(lam)
     f = zeros + [D ** 0] * len(intact)
     if prog.kernel is not None:
-        f = prog.kernel(t, lam, coefs, intact, f)
+        f = prog.kernel(rates.exact)(t, lam, coefs, intact, f)  # the outputs only
     elif not prog.earlier:
         # one break per state, as in a tree: each state scans a block of
         # steps after its sides (higher indices), holding 256 values at most
@@ -540,10 +565,10 @@ def _run(prog, rates, t):
                 h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
             f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
                  in zip(lam, f, h, last_c, last_l, last_r)] + [s ** u for s in intact]
+    out = f if prog.kernel is not None else [f[i] for i in outs]
     if rates.exact:
         scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
-        return [_clamp_prob(Fraction(f[i], scales[ks[i]]), True) for i in outs]
-    out = [f[i] for i in outs]
+        return [_clamp_prob(Fraction(x, scales[ks[i]]), True) for x, i in zip(out, outs)]
     # validated rates give no NaN, so min and max bound every value
     if 0.0 <= min(out) and max(out) <= 1.0:
         return out
@@ -570,16 +595,23 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     """
     _need(rates, "discrete", "tree_prob_discrete", t, tree)
     _check_method(method)
+    if t < _height(tree):  # _paper_prob's exact 0, before either route reads a rate
+        return rates.one * 0
     if method == "auto":
         return _run(_tree_program(tree), rates, t)[0]
     return _paper_prob(_paper_terms(tree, rates), t, rates.exact)
 
 
+def _height(tree):
+    """The most vertices on a path from the root (0 for the empty tree)."""
+    return max(map(int.bit_count, tree._anc.values()), default=0)
+
+
 def _paper_terms(tree, rates):
-    """The paper's formula for one tree but the horizon: the tree's height
-    (its most vertices on a path from the root), the lambda of the empty
-    state, and per stump set S (lambda_S, A_S) by the stump-set product
-    rule (_stump_sums) with waiting weights rho(alpha) / lambda_diff."""
+    """The paper's formula for one tree but the horizon: the tree's
+    _height, the lambda of the empty state, and per stump set S (lambda_S,
+    A_S) by the stump-set product rule (_stump_sums) with waiting weights
+    rho(alpha) / lambda_diff."""
     n = rates.n
     lam0 = lam_interval(rates, [], 1, n)
     if not tree.G:
@@ -591,7 +623,7 @@ def _paper_terms(tree, rates):
 
     stumps = [(lam_interval(rates, sorted(tree.mask_vertices(stump)), 1, n), coef)
               for stump, coef in _stump_sums(tree, w, rates.exact).items()]
-    return max(anc.bit_count() for anc in tree._anc.values()), lam0, stumps
+    return _height(tree), lam0, stumps
 
 
 def _paper_prob(terms, t, exact):
@@ -723,14 +755,7 @@ def dist_continuous_all(rates, t):
 
 
 def _state_links(mask):
-    out = []
-    a = 1
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return out
+    return [a + 1 for a in range(mask.bit_length()) if mask >> a & 1]
 
 
 def transition_rows(rates):

@@ -609,10 +609,28 @@ def test_malformed_rates_file_exits_2(content, exact, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rho,args", [
+    ({"1": "1e-400"}, ["dist", "--time", "1", "--oracle"]),
+    ({"1": "1e-400", "2": 0.5}, ["dist", "--time", "1"]),
+], ids=["oracle", "closed form"])
+def test_continuous_rate_zero_as_a_float_exits_2(rho, args, tmp_path, capsys):
+    # the continuous formulas run on floats, where 1e-400 is 0.0: the
+    # oracle divided by a zero total, and the closed form used rate 0
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"mode": "continuous", "rho": rho}))
+    assert run(args + ["--rates", str(rates)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: continuous rates must be positive as floats\n"
+
+
+@pytest.mark.parametrize("rho,args", [
     ({"1": float("inf"), "2": 0.5}, ["dist", "--time", "0"]),
     ({"1": 1e308, "2": 1e308}, ["dist", "--time", "1", "--oracle"]),
     ({"1": 1e308, "2": 1e308}, ["treeprob", "--time", "1"]),
-], ids=["Infinity", "overflowing total, oracle", "overflowing total, treeprob"])
+    ({"1": 10**400, "2": 0.1}, ["dist", "--time", "1"]),
+    ({"1": 10**308, "2": 10**308, "3": 0.5}, ["dist", "--time", "1"]),
+], ids=["Infinity", "overflowing total, oracle", "overflowing total, treeprob",
+        "int past the float range beside a float", "int run past the float range"])
 def test_rates_not_finite_as_floats_exit_2(rho, args, tmp_path, capsys):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"mode": "continuous", "rho": rho}))

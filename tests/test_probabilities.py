@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -111,6 +112,32 @@ def test_long_chain_state_reads_three_rows():
     assert repr(p) == "1.5034263811768674e-15"
     assert len(r.sums) <= 4
     assert peak <= 4 * 2**20
+
+
+def test_tree_deeper_than_t_reads_no_rates():
+    # a step breaks each fragment at most once, so a 1,500-vertex path tree
+    # is an exact 0 at t = 20 on both routes, before any row of the run sums
+    n = 1500
+    tree = FragTree(n, 1, {}, {a: a + 1 for a in range(1, n)})
+    for rho, zero in [(0.9 / n, "0.0"), (Fraction(9, 10 * n), "Fraction(0, 1)")]:
+        r = RateSpec("discrete", dict.fromkeys(range(1, n + 1), rho))
+        assert repr(tree_prob_discrete(tree, r, 20)) == zero
+        assert len(r.sums) == 0
+        # the paper's route would first sum over all 1,500 stump sets
+        assert repr(tree_prob_discrete(tree, r, 20, "direct")) == zero
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_tree_depth_check_keeps_the_programs_bits(exact):
+    # below, at and past each tree's height the answer is the tree program's
+    rng = make_rng(29)
+    r = random_rates(5, rng, total=0.9, exact=exact)
+    for mask in range(1 << 5):
+        G = [a for a in range(1, 6) if mask >> (a - 1) & 1]
+        for tree in enumerate_fragmentation_trees(G, 5):
+            for t in range(len(G) + 2):
+                want = probabilities._run(probabilities._tree_program(tree), r, t)[0]
+                assert repr(tree_prob_discrete(tree, r, t)) == repr(want), (tree, t)
 
 
 @pytest.mark.parametrize("rho", [{1: 0.25, 2: 0.5}, {1: Fraction(1, 4), 2: Fraction(1, 2)},
@@ -761,6 +788,66 @@ def test_tree_scan_keeps_every_bit_across_blocks(exact, monkeypatch):
                 results.append(repr(probabilities._run(prog, r, t)))
                 assert (prog.kernel is None) == bool(hot_steps)
             assert results[0] == results[1], (tree, t)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_kernel_phase_edges_keep_every_bit(exact, monkeypatch):
+    # a kernel seeds step 1 in closed form, steps 2..t-1 in full and step t
+    # over the outputs only: at t in {0, 1, 2, 3} the hot kernel of the
+    # table and of every state of each n <= 7 gives the loop's repr
+    rng = make_rng(31)
+    for n in range(1, 8):
+        r = random_rates(n, rng, total=rng.choice([0.5, 0.9, 1.0]), exact=exact)
+        builds = [lambda: probabilities._build_table_program(n)]
+        builds += [lambda m=m: probabilities._state_program.__wrapped__(n, m)
+                   for m in range(1 << n)]
+        for build in builds:
+            hot = build()
+            for t in (0, 1, 2, 3):
+                monkeypatch.setattr(probabilities, "HOT_STEPS", 10**9)
+                want = repr(probabilities._run(build(), r, t))
+                monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+                assert repr(probabilities._run(hot, r, t)) == want, (n, t, hot.outs)
+            assert hot.kernel is not None
+
+
+def test_one_program_keeps_a_kernel_per_mode(monkeypatch):
+    # float rates and their exact twin alternate on one hot table program
+    # and one hot state program: each mode generates its kernel once, and
+    # every call gives the loop's repr
+    rng = make_rng(37)
+    f = random_rates(5, rng, total=0.9)
+    specs = [f, RateSpec("discrete", {a: Fraction(f.rho(a)) for a in range(1, 6)})]
+    builds = [lambda: probabilities._build_table_program(5),
+              lambda: probabilities._state_program.__wrapped__(5, 0b11011)]
+    for build in builds:
+        hot = build()
+        for rnd in range(12):
+            r, t = specs[rnd % 2], (0, 1, 2, 3, 7, 2)[rnd // 2]
+            monkeypatch.setattr(probabilities, "HOT_STEPS", 10**9)
+            want = repr(probabilities._run(build(), r, t))
+            monkeypatch.setattr(probabilities, "HOT_STEPS", 0)
+            assert repr(probabilities._run(hot, r, t)) == want, (rnd, hot.outs)
+        assert hot.kernel.cache_info().misses == 2
+        assert hot.kernel(False) is not hot.kernel(True)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_table_kernel_generation_peak(exact):
+    # generating the kernel of the benchmark's n = 6 table peaks at about
+    # 2.35 MiB in float mode on Python 3.11 and 3.05-3.17 MiB in exact mode.
+    # The compilers of 3.10, 3.12 and 3.13 take more for the same source:
+    # 2.67-2.87 MiB in float mode, and 2.43-2.79 MiB for the kernel that
+    # stepped every state
+    bound = 3.5 if exact else 2.5 if sys.version_info[:2] == (3, 11) else 3.0
+    prog = probabilities._build_table_program(6)
+    tracemalloc.start()
+    try:
+        probabilities._generate(prog)(exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])

@@ -33,10 +33,10 @@ links. Discrete-chain probabilities have three routes:
   sparse dict rows in the standard library; every term is nonnegative.
 
 Discrete-chain quantities support an exact rational mode: with Fraction
-rates every route is exact, the interval recursion on the RateSpec's
-integer form of the rates, the others in Fraction arithmetic. Float mode
-sums the paper's alternating sums by math.fsum and Neumaier's compensation;
-rates add in ascending link order, so floats keep their bits on any Python.
+rates every route is exact, the interval recursion on scaled ints (_run),
+the others in Fraction arithmetic. Float mode sums the paper's alternating
+sums by math.fsum and Neumaier's compensation; rates add in ascending link
+order, so floats keep their bits on any Python.
 
 Key quantity: for a removed set S inside an interval I, lambda^I_S is the
 probability that one step changes nothing, the product over the fragments J
@@ -117,8 +117,8 @@ class RateSpec:
             total = math.inf
         if not (Fraction(total, D) if self.exact else total) <= sys.float_info.max:
             raise ValueError("rates and their total must be finite as floats")
-        if mode == "continuous" and not all(float(v) > 0 for v in rho.values()):
-            raise ValueError("continuous rates must be positive as floats")
+        if (mode == "continuous" or not self.exact) and min(map(float, rho.values())) <= 0:
+            raise ValueError(f"{mode} rates must be positive as floats")
         if mode == "discrete" and total > (D if self.exact else 1 + 1e-12):
             raise ValueError("discrete rates must sum to at most 1")
         self.scaled = D, (1, *p)
@@ -335,11 +335,11 @@ def _compile(n, keys, tops):
     (a+1, hi, mask above a). keys lists each state reachable from tops; each
     gets one index, inner states first by falling break count, intact ones
     (mask 0) last. A rank holds arrays of the link and the two sides'
-    indices: `last` has the last break of every inner state, earlier[j] the
-    j-th from the lowest of every state with over j + 1 breaks, so it covers
-    a prefix of the inner states. Returns a _Program of the distinct
-    intervals, each state's interval index and k, earlier, last and the
-    indices of tops.
+    indices: the last rank has the last break of every inner state, and
+    rank j before it the j-th from the lowest of every state with over
+    j + 1 breaks, so it covers a prefix of the inner states. Returns a
+    _Program of the distinct intervals, each state's interval index, the
+    ranks and the indices of tops.
     """
     keys = sorted(keys, key=lambda key: key[2].bit_count(), reverse=True)
     index = {key: i for i, key in enumerate(keys)}
@@ -354,23 +354,28 @@ def _compile(n, keys, tops):
             rank[0].append(a)
             rank[1].append(index[lo, a - 1, mask & (low - 1)])
             rank[2].append(index[a + 1, hi, mask & -(low << 1)])
-    k = array("i", [key[2].bit_count() for key in keys])
     outs = array("i", map(index.__getitem__, tops))
-    return _Program(list(intervals), iv, k, [r for r in ranks[:-1] if r[0]], ranks[-1], outs)
+    return _Program(list(intervals), iv, [r for r in ranks[:-1] if r[0]] + ranks[-1:], outs)
 
 
 class _Program:
     """An interval recursion (_compile, _tree_program), the steps it has run
     over all its calls, and once they reach HOT_STEPS its kernels by mode
     (_generate) and, in prepared, (rates.scaled, step arguments) of the last
-    rates run."""
+    rates run. Per state, ks counts its links and es holds the e of its scale
+    D^(e u) (_run): 0 over an empty interval, 1 for another intact one, else
+    the largest of 1 and the sides' e' + e'' over its breaks."""
 
-    __slots__ = ("intervals", "iv", "ks", "earlier", "last", "outs", "steps", "kernel",
+    __slots__ = ("intervals", "iv", "ks", "es", "ranks", "outs", "steps", "kernel",
                  "prepared")
 
-    def __init__(self, intervals, iv, ks, earlier, last, outs):
-        self.intervals, self.iv, self.ks = intervals, iv, ks
-        self.earlier, self.last, self.outs = earlier, last, outs
+    def __init__(self, intervals, iv, ranks, outs):
+        self.intervals, self.iv, self.ranks, self.outs = intervals, iv, ranks, outs
+        self.ks = ks = array("i", [0]) * len(iv)
+        self.es = es = array("i", [intervals[j][0] <= intervals[j][1] for j in iv])
+        for i in reversed(range(len(ranks[-1][0]))):
+            ks[i] = 1 + ks[ranks[-1][1][i]] + ks[ranks[-1][2][i]]
+            es[i] = max(1, *(es[ls[i]] + es[rs[i]] for _, ls, rs in ranks if i < len(ls)))
         self.steps = 0
         self.kernel = None
         self.prepared = None
@@ -384,28 +389,32 @@ def _generate(prog):
 
     Each state's value is a local. Step 1 is closed: a state over one link
     holds its coefficient, an intact one its stay, others 0. Later steps
-    form once each c f' that breaks share (one coefficient D^k p(a), one
-    left side), update the inner states in index order, f_i = lam_i f_i +
-    (sum of c f' f'' over its breaks by link), then the intact ones, s ** u,
-    and the last step only the outputs. Sides have higher indices, so still
-    hold step u - 1 when read. Float mode has D^k = 1.0 and drops sides over
-    empty intervals, which hold 1.0. These are _run's operations in its
-    order (0 + x is x, c f' f'' is (c f') f''), so floats keep their bits.
-    The kernels hold the program's arrays, not the program, which holds them.
+    grow exact coefficient classes (e, a, d) with d > 0 by D^d, form once
+    each c f' that breaks share (one class, one left side), update the inner
+    states in index order, f_i = lam_i f_i + (sum of c f' f'' over its
+    breaks by link), then the intact ones, s ** u (s f on exact ints), and
+    the last step only the outputs. Sides have higher indices, so still hold
+    step u - 1 when read; those over empty intervals hold 1 and are dropped.
+    These are _run's operations in its order (0 + x is x, c f' f'' is (c f')
+    f''), so floats keep their bits. The kernels hold the program's arrays,
+    not the program, which holds them.
     """
     return functools.cache(functools.partial(
-        _kernel, prog.intervals, prog.iv, prog.ks, [*prog.earlier, prog.last], prog.outs))
+        _kernel, prog.ks, prog.es, prog.ranks, prog.outs))
 
 
-def _kernel(intervals, iv, ks, ranks, outs, exact):
+def _kernel(ks, es, ranks, outs, exact):
     inner = len(ranks[-1][0])
-    ones = {i for i, j in enumerate(iv) if not exact and intervals[j][1] < intervals[j][0]}
-    classes, breaks = {}, [[] for _ in ks]
+    ones = {i for i, e in enumerate(es) if not e}
+    classes, breaks, grows = {}, [[] for _ in ks], {}
     for j, (links, ls, rs) in enumerate(ranks):
         for i, a in enumerate(links):
-            c = f"c{ks[i] if exact else ''}_{a}"  # its class: k and a, or a alone
+            d = es[i] - es[ls[i]] - es[rs[i]]
+            c = f"c{es[i]}_{a}_{d}" if exact else f"c_{a}"  # its class: e, a, d or a
             classes.setdefault(c, f"coefs[{j}][{i}]")
             breaks[i].append((c, ls[i], rs[i]))
+            if exact and d:  # grows by D^d a step
+                grows[c], classes[f"D{d}"] = f"D{d}", f"coefs[-1][{d}]"
     seed = {}  # step 1 of the inner states, one chained assignment per value
     for i in range(inner):
         seed.setdefault(breaks[i][0][0] if ks[i] == 1 else "0" if exact else "0.0",
@@ -413,13 +422,15 @@ def _kernel(intervals, iv, ks, ranks, outs, exact):
 
     def step(states, u):
         uses = Counter((c, l) for i in states for c, l, _ in breaks[i] if l not in ones)
-        lines = [f"g{c}_{l} = {c} * f{l}" for (c, l), k in uses.items() if k > 1]
+        lines = [f"{c} = {c} * {grows[c]}" for c in dict.fromkeys(
+            c for i in states for c, _, _ in breaks[i]) if c in grows]
+        lines += [f"g{c}_{l} = {c} * f{l}" for (c, l), k in uses.items() if k > 1]
         for i in states:
             terms = [(f"g{c}_{l}" if uses[c, l] > 1 else c if l in ones else f"{c} * f{l}")
                      + ("" if r in ones else f" * f{r}") for c, l, r in breaks[i]]
             if terms or i not in ones:
                 lines.append(f"f{i} = m{i} * f{i} + ({' + '.join(terms)})" if terms
-                              else f"f{i} = s{i} ** {u}")
+                              else f"f{i} = s{i} * f{i}" if exact else f"f{i} = s{i} ** {u}")
         return ["        " + line for line in lines]
 
     lines = ["def kernel(t, lam, coefs, intact, f):", "    if t < 1:",
@@ -480,40 +491,47 @@ def _tree_program(tree):
         rs.append(index[right] if right is not None else pieces.setdefault(
             (a + 1, hi) if a < hi else (1, 0), len(order) + len(pieces)))
     intervals = [(tree.lo[a], tree.hi[a]) for a in order] + list(pieces) or [(1, tree.n)]
-    ks = [0] * len(intervals)
-    for i in reversed(range(len(order))):
-        ks[i] = 1 + ks[ls[i]] + ks[rs[i]]
-    return _Program(intervals, range(len(intervals)), ks, [], (order, ls, rs), (0,))
+    return _Program(intervals, range(len(intervals)), [(order, ls, rs)], (0,))
 
 
 def _step_args(prog, rates):
-    """What a program's steps read of the rates: lam = D^k (D - P_I) per
-    inner state, the coefficients D^k p(a) of each rank (earlier ones, then
-    last) and the intact stays D - P_I."""
-    ks, inner = prog.ks, len(prog.last[0])
+    """What a program's steps read of the rates: lam = D^(e-1) (D - P_I) per
+    inner state, the step-1 coefficients D^(e-1) p(a) of each rank, then the
+    powers D^d, and the intact stays D - P_I (1 over an empty interval)."""
+    es, inner = prog.es, len(prog.ranks[-1][0])
     D, p = rates.scaled
     stays = [rates.scaled_stay(lo, hi) for lo, hi in prog.intervals]
     stays = [stays[j] for j in prog.iv]
-    Dk = [D ** k for k in range(max(ks) + 1)]
-    lam = [Dk[k] * s for k, s in zip(ks, stays[:inner])]
-    coefs = [[Dk[k] * p[a] for k, a in zip(ks, links)]
-             for links, _, _ in [*prog.earlier, prog.last]]
-    return lam, coefs, stays[inner:]
+    De = [D ** e for e in range(max(es) + 1)]
+    lam = [De[e - 1] * s for e, s in zip(es, stays[:inner])]
+    coefs = [[De[e - 1] * p[a] for e, a in zip(es, links)]
+             for links, _, _ in prog.ranks]
+    return lam, [*coefs, De], [s if e else De[0] for e, s in zip(es[inner:], stays[inner:])]
+
+
+def _grows(prog, rates, coefs):
+    """(row, i, D^d) for each exact coefs[row][i] of a break with d > 0 (_run):
+    cold calls grow their own coefficients in place, by D^d a step."""
+    es = prog.es
+    return [(c, i, coefs[-1][es[i] - es[l] - es[r]])
+            for c, (_, ls, rs) in zip(coefs, prog.ranks)
+            for i, (l, r) in enumerate(zip(ls, rs)) if rates.exact and es[i] > es[l] + es[r]]
 
 
 def _run(prog, rates, t):
     """The probabilities of a program's outputs at step t.
 
     With the rates' integer form rho(a) = p(a)/D (RateSpec.scaled), a state
-    over k links carries F = D^((k+1)u) f: F(0) = 0, F(u) = D^k (D - P_I)
-    F(u-1) + sum over its breaks a of D^k p(a) F'(u-1) F''(u-1), P_I the
-    sum of p over the interval, and an intact one (D - P_I)^u. Exact mode
-    runs on ints up to one Fraction per answer; float mode has D^k = 1.0,
-    so its F is f and needs no division. All states advance together, or
-    with one break each a block of steps at a time: memory is O(states)
-    whatever t. Breaks add in ascending link order, the last inside the
-    update, as the floats always did (0 + x is x for x >= 0), so they keep
-    their bits. A hot program steps through its generated kernel
+    carries F = D^(e u) f (_Program.es): F(0) = 0, F(u) = D^(e-1) [(D - P_I)
+    F(u-1) + sum over its breaks a of D^(d(u-1)) p(a) F'(u-1) F''(u-1)], P_I
+    the sum of p over I and d = e - e' - e'' >= 0; intact, (D - P_I)^u or 1
+    if empty. Exact mode checks 0 <= F <= D^(e t) on its ints and builds one
+    Fraction per answer; float mode has D = 1.0, so its F is f, needs no
+    division and skips the coefficients' growth. All states advance
+    together, or with one break each a block of steps at a time: memory is
+    O(states) whatever t. Breaks add in ascending link order, the last
+    inside the update, as the floats always did (0 + x is x for x >= 0), so
+    they keep their bits. A hot program steps through its generated kernel
     (_generate) instead, and keeps the step arguments of the last rates it
     ran (_step_args) while rates.scaled is the same object. The key is the
     object, not its value: at n = 1 the float (1.0, (1, 1.0)) equals the
@@ -540,24 +558,28 @@ def _run(prog, rates, t):
     f = zeros + [D ** 0] * len(intact)
     if prog.kernel is not None:
         f = prog.kernel(rates.exact)(t, lam, coefs, intact, f)  # the outputs only
-    elif not prog.earlier:
+    elif len(prog.ranks) == 1:
         # one break per state, as in a tree: each state scans a block of
         # steps after its sides (higher indices), holding 256 values at most
-        (_, ls, rs), inner = prog.last, len(lam)
+        [(_, ls, rs)], inner = prog.ranks, len(lam)
+        grow = {i: g for _, i, g in _grows(prog, rates, coefs)}
         for start in range(0, t, 256):
             us = range(start, min(start + 256, t))
             cols = [None] * inner + [[s ** u for u in us] for s in intact]
             for i in range(inner - 1, -1, -1):
-                a, q, x = lam[i], coefs[0][i], f[i]
+                a, q, x, g = lam[i], coefs[0][i], f[i], grow.get(i)
                 cols[i] = col = []
                 for y, z in zip(cols[ls[i]], cols[rs[i]]):
                     col.append(x)
                     x = a * x + q * y * z
-                f[i] = x
+                    if g:
+                        q *= g
+                f[i], coefs[0][i] = x, q
         f[inner:] = [s ** t for s in intact]
     else:
+        grows = _grows(prog, rates, coefs)
         *ranks, (last_c, last_l, last_r) = [(c, ls, rs) for c, (_, ls, rs)
-                                            in zip(coefs, [*prog.earlier, prog.last])]
+                                            in zip(coefs, prog.ranks)]
         for u in range(1, t + 1):
             # h: every break but the last, each rank over a prefix of the states
             h = zeros[:]
@@ -565,10 +587,12 @@ def _run(prog, rates, t):
                 h[:len(c)] = [s + x * f[l] * f[r] for s, x, l, r in zip(h, c, ls, rs)]
             f = [a * x + (s + c * f[l] * f[r]) for a, x, s, c, l, r
                  in zip(lam, f, h, last_c, last_l, last_r)] + [s ** u for s in intact]
+            for c, i, g in grows:
+                c[i] *= g
     out = f if prog.kernel is not None else [f[i] for i in outs]
     if rates.exact:
-        scales = {k: D ** ((k + 1) * t) for k in {ks[i] for i in outs}}
-        return [_clamp_prob(Fraction(x, scales[ks[i]]), True) for x, i in zip(out, outs)]
+        return [Fraction(x, s) if 0 <= x <= s else _clamp_prob(Fraction(x, s), True)
+                for x, s in zip(out, (D ** (prog.es[i] * t) for i in outs))]
     # validated rates give no NaN, so min and max bound every value
     if 0.0 <= min(out) and max(out) <= 1.0:
         return out

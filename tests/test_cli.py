@@ -623,6 +623,28 @@ def test_continuous_rate_zero_as_a_float_exits_2(rho, args, tmp_path, capsys):
     assert captured.err == "error: continuous rates must be positive as floats\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["dist", "--subset", "1", "--time", "2"],
+    ["simulate", "--subset", "1", "--time", "2", "--samples", "10"],
+    ["treeprob", "--time", "2"],
+], ids=["dist", "simulate", "treeprob"])
+def test_discrete_float_rate_zero_as_a_float_exits_2(args, tmp_path, capsys):
+    # beside a float rate, "1e-400" runs as the float 0.0: dist answered as
+    # if link 1 never broke, and simulate named a rate the file does not hold
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"mode": "discrete", "rho": {"1": "1e-400", "2": 0.5}}))
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"links": [1, 2], "root": 1, "edges": [[1, 2]]}))
+    extra = ["--tree", str(tree)] if args[0] == "treeprob" else []
+    assert run(args + ["--rates", str(rates)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: discrete rates must be positive as floats\n"
+    if args[0] != "simulate":  # read as Fractions, the same rates are exact and valid
+        assert run(args + ["--rates", str(rates), "--exact"] + extra) == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("rho,args", [
     ({"1": float("inf"), "2": 0.5}, ["dist", "--time", "0"]),
     ({"1": 1e308, "2": 1e308}, ["dist", "--time", "1", "--oracle"]),

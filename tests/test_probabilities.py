@@ -959,6 +959,51 @@ def test_hot_float_outputs_still_clamp_and_check(monkeypatch):
             assert probabilities._run(prog, r, 1) == want
 
 
+@pytest.mark.parametrize("hot_steps", [10**9, 0], ids=["cold", "hot"])
+def test_exact_breaks_short_of_powers_match_the_paper(hot_steps, monkeypatch):
+    # adjacent links and chain ends leave empty sides, which hold exactly 1,
+    # so some breaks take fewer powers of D than their state: their
+    # coefficients grow by D^d a step, in the loop, across the tree scan's
+    # 256-step blocks and in the kernel. G = {1, 2, 4, 5} of n = 5 has
+    # trees with leaves whose two sides are empty; G = {1} of n = 1 is one
+    monkeypatch.setattr(probabilities, "HOT_STEPS", hot_steps)
+    _clear_programs()
+    cases = [(RateSpec("discrete", {a: Fraction(a + 2, 40) for a in range(1, 6)}),
+              [1, 2, 4, 5]),
+             (RateSpec("discrete", {1: Fraction(3, 7)}), [1])]
+    for r, G in cases:
+        mask = sum(1 << (a - 1) for a in G)
+        trees = enumerate_fragmentation_trees(G, r.n)
+        for t in (1, 2, 255, 256, 257):
+            got = dist_discrete(G, r, t)
+            assert type(got) is Fraction and got == dist_discrete(G, r, t, method="direct")
+            assert (probabilities._state_program(r.n, mask).kernel is None) == bool(hot_steps)
+            for tree in trees:
+                got = tree_prob_discrete(tree, r, t)
+                assert got == tree_prob_discrete(tree, r, t, method="direct"), (tree, t)
+
+
+def test_exact_scale_counts_live_fragments():
+    # the benchmark's exact state: each state is scaled by D^(e u), with e
+    # no more than its links plus 1 and 0 over an empty interval, and the
+    # top state's e is 4 where its 5 links would give 6; so at t = 10 its
+    # scaled int has at most 400 bits, where D^60 took 591
+    n, G, t = 8, [1, 2, 4, 7, 8], 10
+    r = RateSpec("discrete", {a: Fraction(95 + 2 * a, 997) for a in range(1, n + 1)})
+    prog = probabilities._state_program.__wrapped__(n, sum(1 << (a - 1) for a in G))
+    top = prog.outs[0]
+    assert (prog.ks[top], prog.es[top]) == (5, 4)
+    for i, j in enumerate(prog.iv):
+        lo, hi = prog.intervals[j]
+        assert prog.es[i] <= prog.ks[i] + 1
+        assert (prog.es[i] == 0) == (hi < lo)
+    lam, coefs, intact = probabilities._step_args(prog, r)
+    [scaled] = probabilities._generate(prog)(True)(
+        t, lam, coefs, intact, [0] * len(lam) + [1] * len(intact))
+    assert scaled.bit_length() <= 400
+    assert Fraction(scaled, 997 ** (4 * t)) == dist_discrete(G, r, t)
+
+
 @st.composite
 def dyadic_matrix_cases(draw):
     """Like dyadic_cases, but the whole table and total rates below 1."""

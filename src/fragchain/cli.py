@@ -159,10 +159,8 @@ def cmd_trees(args):
     from . import serialize
 
     if args.format == "dot":
-        out = []
-        for i, tr in enumerate(ts):
-            out.append(serialize.fragtree_to_dot(tr, name=f"F{i}"))
-        _write_out(args.out, "".join(out))
+        _write_out(args.out, "".join(serialize.fragtree_to_dot(tr, name=f"F{i}")
+                                     for i, tr in enumerate(ts)))
     else:
         payload = [serialize.fragtree_to_dict(tr) for tr in ts]
         _write_out(args.out, json.dumps(payload, indent=2) + "\n")
@@ -215,10 +213,7 @@ def cmd_mobius(args):
         print(poset.mobius_recursive(tree, H, K))
         return 0
     val = poset.mobius(tree, H, K)
-    if not val.comparable:
-        print("0 (incomparable)")
-    else:
-        print(val.value)
+    print(val.value if val.comparable else "0 (incomparable)")
     return 0
 
 
@@ -260,8 +255,7 @@ def cmd_simulate(args):
         target = {"subset": sorted(G)}
     report = serialize.simulation_report(
         target, t, args.samples, est, se, exact, args.seed)
-    text = json.dumps(report, indent=2) + "\n"
-    _write_out(args.out, text)
+    _write_out(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 

@@ -108,54 +108,39 @@ def catalan(k):
 class FragTree(RootedTree):
     """A fragmentation tree: plane binary search tree on G inside chain 1..n.
 
-    Constructed from the child maps; intervals and traversals are
-    precomputed. It is the rooted tree of its edges, listed in preorder with
-    the left child first, so the pruning-order and Mobius functions take it
-    as it is. The empty tree (root None, G = ()) is the rooted tree with no
+    Constructed from the child maps. It is the rooted tree of its edges,
+    left child first, whose one walk gives both orders, so the pruning-order
+    and Mobius functions take it as it is; the intervals follow parents
+    first. The empty tree (root None, G = ()) is the rooted tree with no
     vertices; its single external fragment is the whole chain.
     """
 
     def __init__(self, n, root, left=None, right=None):
-        left = dict(left or {})
-        right = dict(right or {})
+        left, right = dict(left or {}), dict(right or {})
         self.n = _chain_n(n)
-        roots = [] if root is None else [root]
-        _links([*roots, *(c for m in (left, right) for c in m.values() if c is not None)], n)
-        lo, hi = {}, {}
-        order = []
-        edges = []
-        # each child's interval is a strict part of its parent's, so the walk
-        # ends even on child maps with cycles
-        stack = [(a, 1, n) for a in roots]
-        while stack:
-            a, alo, ahi = stack.pop()
+        # every left edge before every right one, so children are (left, right)
+        edges = [(a, c) for m in (left, right) for a, c in m.items() if c is not None]
+        _links([*([] if root is None else [root]), *(c for _, c in edges)], n)
+        super().__init__(root, edges)
+        self.G = tuple(sorted(self.vertices))
+        self.left = {a: left.get(a) for a in self.G}
+        self.right = {a: right.get(a) for a in self.G}
+        # parents first: the root carries the chain, each child its side
+        self.lo = dict.fromkeys(self.vertices[:1], 1)
+        self.hi = dict.fromkeys(self.vertices[:1], n)
+        for a in self.vertices:
+            alo, ahi = self.lo[a], self.hi[a]
             if not alo <= a <= ahi:
                 raise ValueError(f"vertex {a} outside its interval ({alo},{ahi})")
-            lo[a], hi[a] = alo, ahi
-            order.append(a)
-            lc, rc = left.get(a), right.get(a)
+            lc, rc = self.left[a], self.right[a]
             if lc is not None:
                 if not lc < a:
                     raise ValueError(f"left child {lc} not below {a}")
-                edges.append((a, lc))
-                stack.append((lc, alo, a - 1))
+                self.lo[lc], self.hi[lc] = alo, a - 1
             if rc is not None:
                 if not rc > a:
                     raise ValueError(f"right child {rc} not above {a}")
-                edges.append((a, rc))
-                stack.append((rc, a + 1, ahi))
-        order.reverse()  # visited root, right, left: reversed, the postorder
-        super().__init__(root, edges)
-        for m in (left, right):
-            for a, c in m.items():
-                if c is not None and (a not in lo or c not in lo):
-                    raise ValueError("child map mentions unknown vertex")
-        self.G = tuple(sorted(order))
-        self.left = {a: left.get(a) for a in self.G}
-        self.right = {a: right.get(a) for a in self.G}
-        self.lo = lo
-        self.hi = hi
-        self.postorder = tuple(order)
+                self.lo[rc], self.hi[rc] = a + 1, ahi
         self._key = (n, tuple((a, self.parent.get(a)) for a in self.G))
         self._externals = None
         self._slots = None  # simulate._slot_program's (scaled, program)

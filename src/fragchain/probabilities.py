@@ -34,9 +34,9 @@ links. Discrete-chain probabilities have three routes:
 
 Discrete-chain quantities support an exact rational mode: with Fraction
 rates every route is exact, the interval recursion on scaled ints (_run),
-the others in Fraction arithmetic. Float mode sums the paper's alternating
-sums by math.fsum and Neumaier's compensation; rates add in ascending link
-order, so floats keep their bits on any Python.
+the others in Fraction arithmetic. Float mode sums every list of terms,
+the paper's alternating sums among them, by math.fsum, correctly rounded;
+rates add in ascending link order, so floats keep their bits on any Python.
 
 Key quantity: for a removed set S inside an interval I, lambda^I_S is the
 probability that one step changes nothing, the product over the fragments J
@@ -50,7 +50,7 @@ import math
 import sys
 from array import array
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 from fractions import Fraction
 
 # fragments is imported where it is used: the interval recursion needs none
@@ -195,20 +195,6 @@ def random_rates(n, rng, mode="discrete", total=1.0, exact=False):
     return RateSpec(mode, {a + 1: nums[a] * float(total) / s for a in range(n)})
 
 
-def neumaier_sum(terms):
-    """Compensated float summation; exact-mode callers sum directly."""
-    s = 0.0
-    c = 0.0
-    for x in terms:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
-
-
 # -- lambda machinery ------------------------------------------------------
 
 
@@ -307,7 +293,7 @@ def tree_prob_continuous(tree, rates, t):
     The stump-set product rule (_stump_sums) with waiting weights rho(alpha)
     over the total rate of alpha's component: the sum over stump sets S of
     A_S times the chance that all of S has broken and nothing else has.
-    Summed compensated, then verified and clamped to [0, 1].
+    Summed by math.fsum, then verified and clamped to [0, 1].
     """
     t = _need(rates, "continuous", "tree_prob_continuous", t, tree)
     total_f = float(rates.rho_run(1, rates.n))
@@ -322,7 +308,7 @@ def tree_prob_continuous(tree, rates, t):
     for stump, coef in _stump_sums(tree, lambda a, m: rho_f[a] / msum(m), False).items():
         r = msum(stump)
         terms.append(-math.expm1(-r * t) * math.exp(-(total_f - r) * t) * coef)
-    return _clamp_prob(neumaier_sum(terms), False)
+    return _clamp_prob(math.fsum(terms), False)
 
 
 def _compile(n, keys, tops):
@@ -662,7 +648,7 @@ def _paper_prob(terms, t, exact):
     if not stumps:
         return p0
     vals = [(lam ** t - p0) * coef for lam, coef in stumps]
-    return _clamp_prob(sum(vals) if exact else neumaier_sum(vals), exact)
+    return _clamp_prob(sum(vals) if exact else math.fsum(vals), exact)
 
 
 def _paper_dist(trees_terms, t, exact):
@@ -703,13 +689,9 @@ def dist_discrete_endpoints(G, rates, t):
     ends = {1, rates.n}
     if not set(g) <= ends:
         raise ValueError("endpoint formula needs G inside {1, n}")
-    total = Fraction(0) if rates.exact else 0.0
-    k = len(g)
-    for m in range(1 << k):
-        h = [g[i] for i in range(k) if m >> i & 1]
-        sign = -1 if (k - len(h)) & 1 else 1
-        total = total + sign * lam_interval(rates, h, 1, rates.n) ** t
-    return total if rates.exact else _clamp_prob(total, False)
+    vals = [(-1) ** (len(g) - k) * lam_interval(rates, list(h), 1, rates.n) ** t
+            for k in range(len(g) + 1) for h in combinations(g, k)]
+    return sum(vals) if rates.exact else _clamp_prob(math.fsum(vals), False)
 
 
 # -- distribution tables ----------------------------------------------------

@@ -13,19 +13,29 @@ All text I/O is UTF-8 with LF line endings.
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 
 from .errors import _is_int, _links
+
+
+def _object(pairs):
+    """A JSON object as a dict; a name given twice is malformed input, where
+    json.load would keep the last value."""
+    for key, count in Counter(k for k, _ in pairs).items():
+        if count > 1:
+            raise ValueError(f'a JSON object names "{key}" twice')
+    return dict(pairs)
 
 
 def _load_json(source, kind, fields, parse_float=float):
     """The JSON object of a file name, an open file or a dict, which must
     have the given fields; any other JSON value is malformed input."""
     if hasattr(source, "read"):
-        source = json.load(source, parse_float=parse_float)
+        source = json.load(source, parse_float=parse_float, object_pairs_hook=_object)
     elif isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
-            source = json.load(fh, parse_float=parse_float)
+            source = json.load(fh, parse_float=parse_float, object_pairs_hook=_object)
     if not isinstance(source, dict):
         raise ValueError(f"expected a JSON object, got {type(source).__name__}")
     for key in fields:
@@ -117,6 +127,9 @@ def rates_from_dict(source, exact=False):
             _is_int(v) or isinstance(v, (float, Fraction, str)) for v in rho.values())):
         raise ValueError('"rho" must map each link to a number')
     conv = _to_exact if exact else _parse_number
+    for a, count in Counter(map(int, rho)).items():
+        if count > 1:
+            raise ValueError(f'"rho" names link {a} twice')
     spec = RateSpec(d["mode"], {int(k): conv(v) for k, v in rho.items()})
     if "n" in d and (not _is_int(d["n"]) or d["n"] != spec.n):
         raise ValueError(f'declared n {d["n"]!r} is not the {spec.n} links of "rho"')

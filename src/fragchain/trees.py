@@ -34,31 +34,37 @@ class RootedTree:
     """A finite rooted tree with ordered children.
 
     Built from the root label and an iterable of (parent, child) edges.
-    Children keep the order in which their edges appear. RootedTree(None)
-    is the empty tree: no vertices, no edges and every mask 0.
+    Children keep the order in which their edges appear. One depth-first
+    walk records each vertex on entry, in vertices (root first), and on exit,
+    in postorder (children first, left to right). RootedTree(None) is the
+    empty tree: no vertices, no edges and every mask 0.
     """
 
     def __init__(self, root, edges=()):
-        edges = [(a, b) for a, b in edges]
-        stack = [] if root is None else [root]
         parent = {}
-        children = {v: [] for v in stack}
+        children = {} if root is None else {root: []}
         for a, b in edges:
             if b == root or b in parent:
                 raise ValueError(f"vertex {b!r} has two parent edges")
             parent[b] = a
             children.setdefault(a, []).append(b)
             children.setdefault(b, [])
-        # depth-first order, root first; every vertex an edge names must be reached
-        order = []
+        # every vertex an edge names must be reached
+        order, post = [], []
+        stack = [] if root is None else [(root, False)]
         while stack:
-            v = stack.pop()
+            v, leaving = stack.pop()
+            if leaving:
+                post.append(v)
+                continue
             order.append(v)
-            stack.extend(reversed(children[v]))
+            stack.append((v, True))
+            stack.extend([(c, False) for c in reversed(children[v])])
         if len(order) != len(children):
             raise ValueError(f"edges do not form a tree rooted at {root!r}")
         self.root = root
         self.vertices = tuple(order)
+        self.postorder = tuple(post)
         self.parent = parent
         self.children = {v: tuple(children[v]) for v in order}
         self._bit = {v: i for i, v in enumerate(order)}

@@ -203,3 +203,34 @@ def bf_fragmentation_tree_keys(G, n):
 
     for t in trees(g, None):
         yield (n, tuple((a, t[a]) for a in g))
+
+
+def bf_postorder(root, kids):
+    """Children before parents, left to right, by plain recursion; kids(v)
+    lists v's children in order."""
+    out = []
+
+    def walk(v):
+        for c in kids(v):
+            walk(c)
+        out.append(v)
+
+    if root is not None:
+        walk(root)
+    return tuple(out)
+
+
+def bf_intervals(tree):
+    """{vertex: (lo, hi)} of a fragmentation tree by recursion from the whole
+    chain: a left child gets the part below its parent, a right child the
+    part above."""
+    out = {}
+
+    def walk(a, lo, hi):
+        if a is not None:
+            out[a] = (lo, hi)
+            walk(tree.left[a], lo, a - 1)
+            walk(tree.right[a], a + 1, hi)
+
+    walk(tree.root, 1, tree.n)
+    return out

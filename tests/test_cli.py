@@ -946,3 +946,92 @@ def test_verify_golden_stdout_without_samples(n, want, capsys):
     # pins the direct route's digits at the sizes where it sums most trees
     assert run(["verify", "--n", n, "--samples", "0"]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"mode": "discrete", "rho": {"1": 0.2, "01": 0.3, "2": 0.1}}',
+     '"rho" names link 1 twice'),
+    ('{"mode": "discrete", "rho": {"1": 0.2, "1": 0.3}}', 'a JSON object names "1" twice'),
+    ('{"mode": "discrete", "mode": "continuous", "rho": {"1": 0.2}}',
+     'a JSON object names "mode" twice'),
+], ids=["two spellings of a link", "a repeated link", "a repeated field"])
+def test_rates_file_naming_something_twice_exits_2(text, message, tree_file, tmp_path,
+                                                    capsys):
+    # a dict keeps the last of two equal keys, which read another chain's rates
+    p = tmp_path / "rates.json"
+    p.write_text(text)
+    for args in (["dist", "--time", "1"], ["dist", "--time", "1", "--exact"],
+                 ["treeprob", "--time", "1", "--tree", tree_file],
+                 ["simulate", "--time", "1", "--subset", "1", "--samples", "10"],
+                 ["verify", "--samples", "0"]):
+        assert run(args + ["--rates", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_tree_file_repeating_a_name_exits_2(rates_file, tmp_path, capsys):
+    p = tmp_path / "tree.json"
+    p.write_text('{"links": [1, 5], "root": 3, "edges": [], "root": 4}')
+    for args in (["treeprob", "--rates", rates_file, "--time", "2"], ["poset"],
+                 ["simulate", "--rates", rates_file, "--time", "2", "--samples", "10"]):
+        assert run(args + ["--tree", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: a JSON object names "root" twice\n'
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[3, 1], [4, 5]], "edges do not form a tree rooted at 3"),
+    ([[3, 1], [1, 4]], "vertex 4 outside its interval (2,2)"),
+    ([[3, 1], [1, 3]], "vertex 3 has two parent edges"),
+    ([[3, 1], [3, 2]], "vertex 3 has two children on one side"),
+], ids=["unreachable vertex", "child above its grandparent", "cycle through the root",
+        "two left children"])
+def test_tree_file_with_bad_child_maps_exits_2(edges, message, rates_file, tmp_path,
+                                               capsys):
+    p = tmp_path / "tree.json"
+    p.write_text(json.dumps({"links": [1, 5], "root": 3, "edges": edges}))
+    for args in (["treeprob", "--rates", rates_file, "--time", "2"], ["poset"],
+                 ["simulate", "--rates", rates_file, "--time", "2", "--samples", "10"]):
+        assert run(args + ["--tree", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_dist_oracle_subset_prints_the_oracle_entry(mode, rates_file, crates_file, rates5,
+                                                    capsys):
+    from fragchain.probabilities import (RateSpec, generator_matrix_dist,
+                                         transition_matrix_dist)
+
+    if mode == "discrete":
+        path, time, want = rates_file, "4", transition_matrix_dist(rates5, 4)[(2, 3)]
+    else:
+        crates = RateSpec("continuous", {1: 0.7, 2: 1.3, 3: 0.4})
+        path, time, want = crates_file, "0.7", generator_matrix_dist(crates, 0.7)[(2, 3)]
+    assert run(["dist", "--rates", path, "--time", time, "--oracle",
+                "--subset", "3,2"]) == 0
+    assert capsys.readouterr().out == f"subset,probability\n2;3,{want:.17g}\n"
+
+
+def test_treeprob_on_continuous_rates(crates_file, tmp_path, capsys):
+    from fragchain import FragTree
+    from fragchain.probabilities import RateSpec, tree_prob_continuous
+
+    p = tmp_path / "tree.json"
+    p.write_text(json.dumps({"links": [1, 3], "root": 2, "edges": [[2, 1], [2, 3]]}))
+    assert run(["treeprob", "--rates", crates_file, "--tree", str(p), "--time", "0.7"]) == 0
+    crates = RateSpec("continuous", {1: 0.7, 2: 1.3, 3: 0.4})
+    want = tree_prob_continuous(FragTree(3, 2, {2: 1}, {2: 3}), crates, 0.7)
+    assert 0 < want < 1
+    assert capsys.readouterr().out == f"{want:.17g}\n"
+
+
+def test_simulate_rejects_a_rooted_tree_file(rates_file, rooted_file, capsys):
+    assert run(["simulate", "--rates", rates_file, "--time", "2", "--samples", "10",
+                "--tree", rooted_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: simulate needs a fragmentation tree file, with "links"\n'

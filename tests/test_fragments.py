@@ -9,9 +9,10 @@ from fragchain import (BudgetError, FragTree, Fragment, RootedTree, catalan,
                        fragment_family, fragments_of, minimal_vertices)
 from fragchain.poset import down_set, hasse_edges
 from fragchain.serialize import fragtree_from_dict, fragtree_to_dict
-from fragchain.trees import enumerate_stump_cut_sets, stump_set
+from fragchain.trees import enumerate_stump_cut_sets, enumerate_tree_shapes, stump_set
 
-from oracles import bf_fragmentation_tree_keys, bf_fragments
+from oracles import (bf_fragmentation_tree_keys, bf_fragments, bf_intervals,
+                     bf_postorder)
 
 
 @st.composite
@@ -275,3 +276,31 @@ def test_chain_n_is_an_int_of_at_least_1(call):
 def test_catalan_values():
     assert [catalan(k) for k in range(7)] == [1, 1, 2, 5, 14, 42, 132]
     assert catalan(10) == 16796
+
+
+def test_one_walk_gives_postorder_and_intervals():
+    # every tree of every state with n <= 7, and every rooted shape up to 6 edges
+    for n in range(1, 8):
+        for mask in range(1 << n):
+            G = [a + 1 for a in range(n) if mask >> a & 1]
+            for t in enumerate_fragmentation_trees(G, n):
+                assert t.postorder == bf_postorder(
+                    t.root, lambda a: [c for c in (t.left[a], t.right[a]) if c is not None])
+                assert {a: (t.lo[a], t.hi[a]) for a in t.G} == bf_intervals(t)
+                assert t.lo.keys() == t.hi.keys() == set(t.G)
+    for t in enumerate_tree_shapes(6):
+        assert t.postorder == bf_postorder(t.root, lambda v: t.children[v])
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ({4: 1}, {2: 4}, "vertex 1 outside its interval (3,3)"),
+    ({2: 4}, {}, "left child 4 not below 2"),
+    ({}, {2: 1}, "right child 1 not above 2"),
+    ({2: 1, 4: 3}, {}, "edges do not form a tree rooted at 2"),
+    ({2: 1}, {1: 2}, "vertex 2 has two parent edges"),
+], ids=["outside its interval", "left child above", "right child below",
+        "unreachable vertex", "cycle through the root"])
+def test_fragtree_refuses_bad_child_maps(left, right, message):
+    with pytest.raises(ValueError) as info:
+        FragTree(5, 2, left, right)
+    assert str(info.value) == message

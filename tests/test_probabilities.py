@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragchain import (ConsistencyError, FragTree, RateSpec,
+from fragchain import (ConsistencyError, FragTree, Fragment, RateSpec,
                        check_transition_spectrum, dist_continuous,
                        dist_continuous_all, dist_discrete, dist_discrete_all,
                        dist_discrete_endpoints, enumerate_fragmentation_trees,
@@ -1144,3 +1144,28 @@ def test_shared_horizon_terms_equal_dist_discrete(exact, rng):
                 assert shared == dist_discrete(G, r, t, method="direct")
                 vals = [tree_prob_discrete(tr, r, t, "direct") for tr in trees]
                 assert shared == (sum(vals, Fraction(0)) if exact else math.fsum(vals))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_direct_table_equals_the_default_route(n):
+    # exact rates, so the paper's route and the interval recursion must agree
+    # to the last Fraction on every state
+    rates = RateSpec("discrete", {a: Fraction(a + 2, 97) for a in range(1, n + 1)})
+    for t in (0, 1, 3):
+        assert dist_discrete_all(rates, t, method="direct") == dist_discrete_all(rates, t)
+
+
+def test_lambda_value_of_a_fragment_interval(rates5):
+    want = lam_interval(rates5, [4], 3, 5)
+    assert lambda_value(rates5, [4], Fragment(3, 5)) == want
+    assert lambda_value(rates5, [4], Fragment(3, 5, vertex=2, side="R")) == want
+    assert lambda_value(rates5, [], Fragment(3, 2)) == 1.0  # the empty run
+    with pytest.raises(ValueError, match="inside the interval"):
+        lambda_value(rates5, [2], Fragment(3, 5))
+
+
+def test_generator_oracle_refuses_past_its_size():
+    n = probabilities.GENERATOR_MAX_N + 1
+    rates = RateSpec("continuous", {a: 0.1 for a in range(1, n + 1)})
+    with pytest.raises(ValueError, match=f"limited to n <= {n - 1}"):
+        generator_matrix_dist(rates, 1.0)

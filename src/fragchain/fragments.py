@@ -143,7 +143,10 @@ class FragTree(RootedTree):
                 self.lo[rc], self.hi[rc] = a + 1, ahi
         self._key = (n, tuple((a, self.parent.get(a)) for a in self.G))
         self._externals = None
-        self._slots = None  # simulate._slot_program's (scaled, program)
+        self._slots = self._coupled = None  # simulate's slot program and coupled kernel
+
+    def __getstate__(self):  # simulate's caches hold generated code
+        return {**vars(self), "_slots": None, "_coupled": None}
 
     # -- basics ----------------------------------------------------------
 

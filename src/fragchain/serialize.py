@@ -127,6 +127,9 @@ def rates_from_dict(source, exact=False):
             _is_int(v) or isinstance(v, (float, Fraction, str)) for v in rho.values())):
         raise ValueError('"rho" must map each link to a number')
     conv = _to_exact if exact else _parse_number
+    for k in rho:  # int() would also read " 1", "+1", "1_0" and other digits
+        if not (_is_int(k) and k >= 0 or isinstance(k, str) and k.isascii() and k.isdigit()):
+            raise ValueError(f'"rho" key {k!r} is not a link number')
     for a, count in Counter(map(int, rho)).items():
         if count > 1:
             raise ValueError(f'"rho" names link {a} twice')

@@ -15,12 +15,12 @@ range of keys, reseeding one C generator (_random.Random, whose seed builds
 the state Random(key) does) and calling the kernel; a public sampler runs
 the kernel once on a fresh generator, so concurrent callers share none.
 Both batch kernels return the matched tree as one integer code: the
-discrete one as it breaks links, bisecting the float rates' running sums
-(RateSpec.sums), the continuous one by a Cartesian-tree pass over its
-removal times. A batch counts codes and decodes each distinct one once,
-cheap while trajectories share trees (short chains) and codes stay a word
-or two. The slot samplers' program reads its law from the float rates, and
-the tree keeps its last one. tests/test_simulate.py pins the streams.
+discrete one as it breaks links, walking fragment records that carry their
+run's total and RateSpec.sums row, the continuous one by a Cartesian-tree
+pass over its removal times. A batch counts codes and decodes each distinct
+one once. The slot samplers' program reads its law from the float rates;
+the tree keeps its last one, and a hot coupled estimate a kernel generated
+over its order ideals. tests/test_simulate.py pins the streams.
 """
 
 import _random
@@ -35,6 +35,11 @@ from .errors import _is_int, _links, _need
 
 #: documented default seed for every CLI entry point and helper
 DEFAULT_SEED = 1729
+#: trajectory-steps per order ideal a tree's coupled estimates run on the
+#: slot loop before its kernel is generated, about what generating costs
+COUPLED_HOT_STEPS = 128
+#: most order ideals of a tree with a generated coupled kernel
+COUPLED_MAX_IDEALS = 32
 
 INF = math.inf
 
@@ -103,28 +108,33 @@ def _horizon(rates, mode, what, t, tree=None):
 
 def _discrete_run(sums, n, steps, rand, times=None):
     """Per step, each fragment lo..hi, left to right, draws one uniform u
-    and breaks the first alpha with u < rho(lo..alpha), found by
-    bisect_right in the float rates' sums[lo], or survives. Writes each
-    break's step to times[link], if given, and returns the matched tree's
-    code: in link a's field of (n + 1).bit_length() bits, a's parent + 1
-    (1 for the root), 0 while a is intact."""
-    width = (n + 1).bit_length()
-    code, frags = 0, [(1, n, 1)]
+    and survives if u >= rho(lo..hi), else breaks the first alpha with u <
+    rho(lo..alpha): bisect_right in the float rates' sums[lo], which ends
+    past hi exactly when u >= rho(lo..hi). A fragment is the record
+    (rho(lo..hi), sums[lo], lo, hi, field); a right side reads its row only
+    if it will draw. Writes each break's step to times[link], if given, and
+    returns the matched tree's code: in link a's field of (n + 1).bit_length()
+    bits, a's parent + 1 (1 for the root), 0 while a is intact."""
+    width, row = (n + 1).bit_length(), sums[1]
+    code, frags = 0, [(row[n], row, 1, n, 1)]
     for step in range(1, steps + 1):
         split = []
         for frag in frags:
-            lo, hi, field = frag
-            a = lo - 1 + bisect_right(sums[lo], rand(), 1, hi - lo + 2)
-            if a > hi:
+            top, row, lo, hi, field = frag
+            u = rand()
+            if u >= top:
                 split.append(frag)
                 continue
+            j = bisect_right(row, u, 1)
+            a = lo - 1 + j
             code += field << width * (a - 1)
             if times is not None:
                 times[a] = step
             if a > lo:
-                split.append((lo, a - 1, a + 1))
-            if a < hi:
-                split.append((a + 1, hi, a + 1))
+                split.append((row[j - 1], row, lo, a - 1, a + 1))
+            if a < hi and step < steps:
+                right = sums[a + 1]
+                split.append((right[hi - a], right, a + 1, hi, a + 1))
         frags = split
         if not frags:
             break
@@ -301,14 +311,13 @@ def sample_aux(tree, rates, seed=DEFAULT_SEED, index=0):
 
 
 def _slot_program(tree, rates):
-    """(keys, externals, internals, layout) of the float twin of rates,
+    """(keys, externals, internals, vertex) of the float twin of rates,
     slots numbered as in keys = slot_order(tree). externals: (slot, rho(J))
     per nonempty external J. internals, bottom-up: (slot, child slots, lam_a,
-    1 - rho(I_a), that plus rho(a)), from _internal_law. layout[a], for a
-    vertex a or None (the root's parent): (slot of a, children of a, slots
-    of the externals anchored at a). The tree keeps the last one with its
-    float rates' scaled, matched by identity as in _run, not the RateSpec
-    (nor its sums). Callers check n."""
+    1 - rho(I_a), that plus rho(a)), from _internal_law. vertex: internal
+    slot -> its vertex. The tree keeps the last one with its float rates'
+    scaled, matched by identity as in _run, not the RateSpec (nor its sums).
+    Callers check n."""
     rates = rates.as_float()
     kept = tree._slots  # read once, whatever another thread stores
     if kept is not None and kept[0] is rates.scaled:
@@ -323,11 +332,7 @@ def _slot_program(tree, rates):
         lam_a, law = _internal_law(tree, rates, a)
         internals.append((slot["int", a], slot[kl], slot[kr],
                           lam_a, law[EMPTY], law[EMPTY] + law[CUT]))
-    layout = {a: (slot.get(("int", a)), tree.children.get(a, tree.vertices[:1]), [])
-              for a in (None,) + tree.G}  # None is no vertex: its child is the root
-    for k, _ in ext:
-        layout[k[1]][2].append(slot[k])
-    program = keys, externals, tuple(internals), layout
+    program = keys, externals, tuple(internals), {slot["int", a]: a for a in tree.postorder}
     tree._slots = rates.scaled, program
     return program
 
@@ -437,27 +442,22 @@ def marginal_internal_law(tree, rates, alpha):
 
 def _coupled_run(program, steps, rand):
     """The coupled construction's steps: (removed, failure), the step each
-    removed link broke at and the failing step or None."""
-    layout = program[3]
-    minimal, exposed = list(layout[None][1]), list(layout[None][2])
-    removed = {}
+    removed link broke at and the failing step or None. A step fails at a
+    fired external and at a DEP or IND of a vertex not removed; a CUT below
+    the minimal ones leaves a minimal vertex IND."""
+    removed, alive = {}, dict(program[3])  # internal slots of vertices not removed
     for step in range(1, steps + 1):
         x = _draw_slots(program, rand)
-        for s in exposed:
-            if x[s] == FIRE:
-                return removed, step
+        if FIRE in x:
+            return removed, step
         cut = []
-        for a in minimal:
-            sym = x[layout[a][0]]
-            if sym == CUT:
-                cut.append(a)
-            elif sym != EMPTY:  # DEP or IND
-                return removed, step
-        for a in cut:
-            removed[a] = step
-            minimal.remove(a)
-            minimal += layout[a][1]
-            exposed += layout[a][2]
+        for s in alive:
+            if x[s] != EMPTY:
+                if x[s] != CUT:
+                    return removed, step
+                cut.append(s)
+        for s in cut:
+            removed[alive.pop(s)] = step
     return removed, None
 
 
@@ -480,6 +480,56 @@ def coupled_construction(tree, rates, t_max, seed=DEFAULT_SEED, index=0):
     return Trajectory("discrete", tree.n, t_max, times), failure
 
 
+def _coupled_kernel(tree, work, program):
+    """run(steps, rand), 1 for a hit and 0 for a miss, from the tree's kernel
+    and its slot program's laws, once its coupled estimates have run
+    COUPLED_HOT_STEPS trajectory-steps per order ideal (work more now);
+    else None, as always past COUPLED_MAX_IDEALS. The kernel has a block of
+    steps per order ideal R of removed vertices, by size. A step draws as
+    _draw_slots does against the same floats, returns 0 at a fired external
+    or a nonempty slot outside R but a minimal vertex's CUT, draws a slot of
+    R only when its children read EMPTY, and goes on to R and the CUTs."""
+    kept = tree._coupled  # [trajectory-steps, ideals (None past the cap), kernel]
+    if kept is None:
+        ideals = [frozenset([None])]  # None, the root's parent, is always removed
+        for v in tree.vertices:
+            ideals += [R | {v} for R in ideals if tree.parent.get(v) in R]
+            if len(ideals) > COUPLED_MAX_IDEALS:
+                ideals = None
+                break
+        kept = tree._coupled = [0, ideals and sorted(ideals, key=len), None]
+    kept[0] += work
+    if kept[2] or not kept[1] or kept[0] < COUPLED_HOT_STEPS * len(kept[1]):
+        return kept[2] and kept[2](program[1], program[2])
+    fires = [f"f{i}" for i, f in enumerate(f for f in tree.externals() if not f.empty)]
+    ideals, post = kept[1], tree.postorder
+    lines = ["def kernel(externals, internals):",
+             f"    [{''.join(f'(_, {f}), ' for f in fires)}] = externals",
+             f"    [{''.join(f'(*_, l{i}, s{i}, c{i}), ' for i in range(len(post)))}]"
+             " = internals",
+             "    def run(steps, rand):", "        u = r = 0"]
+    for k, R in enumerate(ideals):
+        low = [v for v in post if v not in R and tree.parent.get(v) in R]  # minimal
+        body = ["u += 1"] + [f"if rand() < {f}: return 0" for f in fires]
+        for i, v in enumerate(post):
+            draw = f"rand() * l{i} >= s{i}"
+            body.append(f"if (z{v} := (x := rand() * l{i}) >= s{i}) and x >= c{i}: return 0"
+                        if v in low else f"if {draw}: return 0" if v not in R else
+                        f"z{v} = {''.join(f'z{c} or ' for c in tree.children[v])}{draw}")
+        if low:
+            to = [ideals.index(R | {v for j, v in enumerate(low) if m >> j & 1})
+                  for m in range(1 << len(low))]
+            cut = " + ".join(f"{1 << j} * z{v}" for j, v in enumerate(low))
+            body += [f"if {' or '.join(f'z{v}' for v in low)}: r = {to}[{cut}]; break"]
+        lines += [f"        if r == {k}:", "            while u < steps:"]
+        lines += ["                " + line for line in body]
+        lines += ["            else:", "                return 0"] * bool(low)
+    exec(compile("\n".join(lines + ["        return 1", "    return run"]),
+                 f"<coupled kernel of {len(ideals)} ideals>", "exec"), namespace := {})
+    kept[2] = namespace["kernel"]
+    return kept[2](program[1], program[2])
+
+
 def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     """Matching-probability estimate from the coupled construction: a
     trajectory counts when it never failed and sits at the tree's state at
@@ -487,9 +537,13 @@ def estimate_tree_prob_coupled(tree, rates, t, samples, seed=DEFAULT_SEED):
     steps = _horizon(rates, "discrete", "the coupled construction", t, tree)
     program, size = _slot_program(tree, rates), len(tree.G)
     keys, reseed, rand = _keyed(seed, samples)
+    run = _coupled_kernel(tree, samples * (steps > 0), program)  # a step at least each
+    if run is None:
+        def run(steps, rand):
+            removed, failure = _coupled_run(program, steps, rand)
+            return failure is None and len(removed) == size
     hits = 0
     for key in keys:
         reseed(key)
-        removed, failure = _coupled_run(program, steps, rand)
-        hits += failure is None and len(removed) == size
+        hits += run(steps, rand)
     return _estimate(hits, samples)

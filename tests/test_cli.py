@@ -970,6 +970,22 @@ def test_rates_file_naming_something_twice_exits_2(text, message, tree_file, tmp
         assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["1.0", " 1", "+2", "-1", "1_0", "", "\uff11", "\u00b2", "0x1"],
+                         ids=["decimal point", "leading space", "plus sign", "minus sign",
+                              "underscore", "empty", "fullwidth digit", "superscript two", "hex"])
+def test_rates_file_with_a_key_that_is_not_a_link_number_exits_2(key, tmp_path, capsys):
+    # int() reads some of these keys as links, or as no link at all
+    p = tmp_path / "rates.json"
+    p.write_text(json.dumps({"mode": "discrete", "rho": {key: 0.2, "2": 0.3}}))
+    for args in (["dist", "--time", "1", "--subset", "1"], ["dist", "--time", "1", "--exact"],
+                 ["simulate", "--time", "1", "--subset", "1", "--samples", "10"],
+                 ["verify", "--samples", "0"]):
+        assert run(args + ["--rates", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'error: "rho" key {key!r} is not a link number\n'
+
+
 def test_tree_file_repeating_a_name_exits_2(rates_file, tmp_path, capsys):
     p = tmp_path / "tree.json"
     p.write_text('{"links": [1, 5], "root": 3, "edges": [], "root": 4}')

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import random
 import sys
 import threading
@@ -282,6 +283,47 @@ def test_estimators_agree_with_the_per_index_samplers(case):
                          lambda: batch_tree_counts(rates, 2.5, samples, seed)):
             with pytest.raises(ValueError, match="beyond the simulated horizon"):
                 estimate()
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["generated", "loop"])
+def test_coupled_hits_are_the_per_index_runs(kernel, monkeypatch):
+    # the coupled estimator's hits, with its kernel generated on the first
+    # call or never (a cap of no ideals), are per-index _coupled_run's, on
+    # every tree of every state with n <= 5 and from t = 0 to past the
+    # tree's height; the exact rates add up to 1, so some stays are 0
+    monkeypatch.setattr(simulate, "COUPLED_HOT_STEPS" if kernel else "COUPLED_MAX_IDEALS", 0)
+    rng, samples = random.Random(29), 30
+    for n in range(1, 6):
+        for rates in (random_rates(n, rng, total=0.9),
+                      random_rates(n, rng, total=Fraction(1), exact=True)):
+            for mask in range(1 << n):
+                G = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+                for tree in enumerate_fragmentation_trees(G, n):
+                    program = simulate._slot_program(tree, rates)
+                    for t in range(len(tree.G) + 2):  # past the tree's height
+                        for seed in (3, 1 << 40):
+                            runs = [simulate._coupled_run(program, t, substream(seed, i).random)
+                                    for i in range(samples)]
+                            hits = sum(failure is None and len(removed) == len(tree.G)
+                                       for removed, failure in runs)
+                            assert estimate_tree_prob_coupled(tree, rates, t, samples, seed) \
+                                == simulate._estimate(hits, samples)
+                    assert (tree._coupled[2] is not None) == kernel
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_batch_counts_are_the_per_index_samplers(n):
+    # the batch's counts are the trees of the per-index trajectories: on
+    # chains of one and two links, the benchmark's five links, and 64 links,
+    # whose codes span several machine words; the last t is past every break
+    rng = random.Random(n)
+    for rates in (random_rates(n, rng, total=0.9), random_rates(n, rng, total=1.0, exact=True)):
+        for t, samples in ((0, 20), (1, 100), (3, 200), (2 * n + 2, 100)):
+            want = {}
+            for i in range(samples):
+                key = classify_tree(simulate_discrete(rates, t, 5, i), t).structure_key()
+                want[key] = want.get(key, 0) + 1
+            assert list(batch_tree_counts(rates, t, samples, 5).items()) == list(want.items())
 
 
 # -- auxiliary slot process ---------------------------------------------------
@@ -603,6 +645,17 @@ def test_slot_programs_keep_no_dropped_ratespec_alive(ref_aux_tree, exact):
     gc.collect()
     assert [ref() for ref in gone] == [None, None]
     assert ref_aux_tree._slots is not None
+
+
+def test_a_tree_with_a_generated_coupled_kernel_pickles(ref_aux_tree, rates5):
+    # generated code does not pickle, so a pickled tree leaves out its slot
+    # program and coupled kernel, and a copy builds its own
+    want = estimate_tree_prob_coupled(ref_aux_tree, rates5, 3, 1000, seed=SEED)
+    assert ref_aux_tree._coupled[2] is not None
+    copy = pickle.loads(pickle.dumps(ref_aux_tree))
+    assert copy == ref_aux_tree and (copy._slots, copy._coupled) == (None, None)
+    assert copy.lo == ref_aux_tree.lo and copy.postorder == ref_aux_tree.postorder
+    assert estimate_tree_prob_coupled(copy, rates5, 3, 1000, seed=SEED) == want
 
 
 def test_coupled_respects_tree_order(rates5):

@@ -2,7 +2,7 @@
 
 Subcommands: dist, treeprob, trees, poset, mobius, simulate, verify.
 Exit codes: 0 success, 1 verification or internal-consistency failure,
-2 usage/config error, 3 enumeration budget exceeded.
+2 usage/config error, 3 budget exceeded (tree enumeration or --method direct).
 
 Edge sets on the command line are comma-separated upper-end labels, the
 empty set being the empty string; a label that is not a vertex of the tree
@@ -25,10 +25,12 @@ from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError
 
 
 def _parse_links(text):
-    text = text.strip()
-    if not text:
-        return []
-    links = [int(x) for x in text.split(",")]
+    """A --subset: comma-separated link numbers, ASCII digits only as in a
+    rates file's "rho" keys; int() would also read " +2" as 2."""
+    tokens = text.strip().split(",") if text.strip() else []
+    if not all(x.isascii() and x.isdigit() for x in tokens):
+        raise ValueError(f"--subset needs comma-separated link numbers, got {text!r}")
+    links = [int(x) for x in tokens]
     if len(set(links)) != len(links):
         raise ValueError(f"duplicate link in subset {text!r}")
     return links
@@ -173,9 +175,13 @@ def cmd_trees(args):
 def cmd_poset(args):
     from . import poset, serialize, trees
 
+    if args.max_edges < 0:
+        raise ValueError(f"--max-edges must be at least 0, got {args.max_edges}")
     tree = _load_tree_any(args.tree)
     if args.interval is not None:
-        htext, _, ktext = args.interval.partition(":")
+        htext, colon, ktext = args.interval.partition(":")
+        if not colon:
+            raise ValueError(f'--interval needs "H:K", got {args.interval!r}')
         members = poset.interval(tree, _parse_labels(htext, tree),
                                  _parse_labels(ktext, tree))
         for m in members:
@@ -272,8 +278,9 @@ def cmd_verify(args):
 
 METHOD_HELP = ("discrete route: auto (default) is the interval recursion; "
                "direct is the paper's tree/inclusion-exclusion formula")
-BUDGET_HELP = ("cap on the term count of tree enumeration and of the formula "
-               "route --method direct; it caps no other route")
+BUDGET_HELP = ("cap on the term count of tree enumeration, catalan(|G|) 2^(|G|-1), "
+               "and on the products of the formula route --method direct, the sum "
+               "over run lengths L of (|G|-L+1) L 2^(L-1); it caps no other route")
 
 
 def build_parser():

@@ -4,8 +4,9 @@ steps or continuous time) and a tree's n by the functions here."""
 
 import math
 
-#: default cap on catalan(|G|) * 2^(|G|-1), a bound on the term count of a
-#: full distribution evaluation; admits |G| <= 10
+#: default cap on tree enumeration's catalan(|G|) * 2^(|G|-1) terms, which
+#: admits |G| <= 10, and on the products of the paper's state route, the sum
+#: over run lengths L of (|G|-L+1) L 2^(L-1), which admits |G| <= 18
 DEFAULT_BUDGET = 10**7
 
 

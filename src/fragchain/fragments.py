@@ -217,7 +217,7 @@ def enumerate_fragmentation_trees(G, n, budget=DEFAULT_BUDGET):
     """All fragmentation trees of the state G in the chain 1..n.
 
     Ordered by root ascending, then left subtree, then right subtree,
-    recursively. Rejects G whose bound on the full distribution's terms,
+    recursively. Rejects G whose count of trees times cut sets,
     catalan(|G|) * 2^(|G|-1), exceeds the budget.
     """
     g = tuple(sorted(set(_links(G, _chain_n(n)))))

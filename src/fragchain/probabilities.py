@@ -25,8 +25,10 @@ links. Discrete-chain probabilities have three routes:
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the cut
   sets of its edges, with the waiting-rate denominators of lambda_diff, by
-  the stump-set product rule (_stump_sums). Only this route and tree
-  enumeration are subject to the enumeration budget (BudgetError);
+  the stump-set product rule (_stump_sums), which runs over the runs of G,
+  summing all its trees with none built, or one run per vertex of a tree.
+  Only this route and tree enumeration are subject to the budget
+  (BudgetError);
 * oracles: the transition-matrix power (discrete) and the uniformised
   generator exponential (continuous), built straight from the one-step
   definition and kept for comparison only. Both multiply a sparse vector by
@@ -53,10 +55,14 @@ from collections import Counter
 from itertools import accumulate, combinations
 from fractions import Fraction
 
-# fragments is imported where it is used: the interval recursion needs none
-from .errors import DEFAULT_BUDGET, ConsistencyError, _is_int, _links, _need
+# fragments is imported where it is used: only lambda_value and the
+# transition matrix read it
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, _is_int, _links, _need
 
 MATRIX_MAX_N = 12
+#: largest full table of the interval recursion, whose program doubles per
+#: link: some 2^(n+2) states, 164 MiB max RSS at n = 16
+TABLE_MAX_N = 16
 GENERATOR_MAX_N = 10
 GENERATOR_MAX_RT = 10_000
 #: steps a program runs interpreted, over all its calls, before _run
@@ -200,14 +206,15 @@ def random_rates(n, rng, mode="discrete", total=1.0, exact=False):
 
 def lam_interval(rates, removed, lo, hi):
     """lambda^{[lo,hi]}_removed: product over the nonempty fragments J left
-    by the sorted removed links of (1 - rho(J))."""
-    from .fragments import chain_fragments
-
-    acc = rates.one
-    for frag in chain_fragments(lo, hi, removed):
-        if not frag.empty:
-            acc = acc * rates.stay(frag.lo, frag.hi)
-    return acc
+    by the sorted removed links of (1 - rho(J)), left to right."""
+    acc, prev = rates.one, lo
+    for r in removed:
+        if not prev <= r <= hi:
+            raise ValueError("removed links must be sorted and lie inside the interval")
+        if prev < r:
+            acc = acc * rates.stay(prev, r - 1)
+        prev = r + 1
+    return acc * rates.stay(prev, hi) if prev <= hi else acc
 
 
 def lambda_value(rates, G, interval=None):
@@ -224,10 +231,7 @@ def lambda_value(rates, G, interval=None):
         lo, hi = interval
     if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi + 1 <= rates.n + 1):
         raise ValueError("the interval must be ints lo..hi inside 1..n")
-    g = sorted(_links(G, rates.n))
-    if any(not lo <= a <= hi for a in g):
-        raise ValueError("state must lie inside the interval")
-    return lam_interval(rates, g, lo, hi)
+    return lam_interval(rates, sorted(_links(G, rates.n)), lo, hi)
 
 
 def lambda_diff(rates, removed, lo, hi):
@@ -267,24 +271,39 @@ def _clamp_prob(raw, exact):
     return min(1.0, max(0.0, raw))
 
 
-def _stump_sums(tree, w, exact):
-    """The paper's inclusion-exclusion over the cut sets H of a tree's
-    edges, by stump set: {S: A_S}, A_S the sum over the H with root
-    component S of (-1)^|H| prod over the vertices a of w(a, C_a), with C_a
-    a's component below a (masks). It factors over the tree as the pruning
-    poset does (poset.product_factorization), children first: Psi_v(C) =
-    w(v, C) prod over the children c of [c in C ? Psi_c(C within c's
-    subtree) : -sum of Psi_c], and A = Psi_root, one entry per stump set.
-    """
-    psi = {}
-    for v in reversed(tree.vertices):
-        acc = [(1 << tree._bit[v], 1)]
-        for c in tree.children[v]:
-            below = psi.pop(c)
-            cut = -(sum(below.values()) if exact else math.fsum(below.values()))
-            acc = [(m | mc, x * y) for m, x in acc for mc, y in [(0, cut), *below.items()]]
-        psi[v] = {m: w(v, m) * x for m, x in acc}
-    return psi[tree.root]
+def _stump_sums(runs, w, exact):
+    """The paper's inclusion-exclusion over the cut sets H of a tree's edges
+    by stump set, summed over a family of trees: {S: A_S}, A_S the sum over
+    the trees and H with root component S of (-1)^|H| prod over the vertices
+    a of w(key, a, C_a), C_a a's component below a (a mask), key its run's.
+    runs lists (key, roots) children first, a root (a, bit, sides) naming
+    its nonempty sides' runs. As the pruning poset factors
+    (poset.product_factorization), Psi_key(C) = sum over the roots a of
+    w(key, a, C) prod over a's sides s of [C meets s ? Psi_s(C within s) :
+    -sum of Psi_s], and A = Psi of the last run; floats sum by math.fsum."""
+    psi, cuts = {}, {}
+    total = sum if exact else math.fsum
+    for key, roots in runs:
+        terms = {}
+        for a, bit, sides in roots:
+            acc = [(bit, 1)]
+            for s in sides:
+                acc = [(m | mc, x * y) for m, x in acc for mc, y in [(0, cuts[s]), *psi[s].items()]]
+            if len(roots) == 1:  # a tree's vertex writes its dict directly
+                terms = {m: w(key, a, m) * x for m, x in acc}
+            else:
+                for m, x in acc:
+                    terms.setdefault(m, []).append(w(key, a, m) * x)
+        psi[key] = terms if len(roots) == 1 else {m: total(xs) for m, xs in terms.items()}
+        cuts[key] = -total(psi[key].values())
+    return psi[key]
+
+
+def _tree_runs(tree):
+    """A fragmentation tree's runs: one per vertex a, keyed by a's interval,
+    a the only root with bit a - 1, and its children's runs as its sides."""
+    return [((tree.lo[a], tree.hi[a]), [(a, 1 << (a - 1), [
+        (tree.lo[c], tree.hi[c]) for c in tree.children[a]])]) for a in tree.postorder]
 
 
 def tree_prob_continuous(tree, rates, t):
@@ -300,15 +319,15 @@ def tree_prob_continuous(tree, rates, t):
     if not tree.G:
         return math.exp(-total_f * t)
     rho_f = {a: float(rates.rho(a)) for a in tree.G}
+    sums = {}  # each component's total rate, kept for the stump sets
 
-    def msum(mask):
-        return math.fsum(rho_f[a] for a in tree.mask_vertices(mask))
+    def w(key, a, mask):
+        sums[mask] = r = math.fsum(map(rho_f.__getitem__, _state_links(mask)))
+        return rho_f[a] / r
 
-    terms = []
-    for stump, coef in _stump_sums(tree, lambda a, m: rho_f[a] / msum(m), False).items():
-        r = msum(stump)
-        terms.append(-math.expm1(-r * t) * math.exp(-(total_f - r) * t) * coef)
-    return _clamp_prob(math.fsum(terms), False)
+    stumps = _stump_sums(_tree_runs(tree), w, False)
+    return _clamp_prob(math.fsum(-math.expm1(-sums[s] * t) * math.exp(-(total_f - sums[s]) * t)
+                                 * coef for s, coef in stumps.items()), False)
 
 
 def _compile(n, keys, tops):
@@ -597,7 +616,8 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     fixed by the tree, g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
     g_right(u-1), as the tree's program (_tree_program) on _run. "direct"
     runs the paper's inclusion-exclusion over cut sets H by the stump-set
-    product rule (_stump_sums), with waiting weights rho(alpha) /
+    product rule over the tree's runs, one per vertex (_tree_runs,
+    _paper_prob), with waiting weights rho(alpha) /
     (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty) (see
     lambda_diff): the sum over stump sets S of A_S (lambda_S^t -
     lambda_empty^t). Exact in rational mode; compensated float sum
@@ -605,76 +625,62 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     """
     _need(rates, "discrete", "tree_prob_discrete", t, tree)
     _check_method(method)
-    if t < _height(tree):  # _paper_prob's exact 0, before either route reads a rate
+    # a step breaks each fragment at most once, so a tree deeper than t has
+    # probability 0: exact, before either route reads a rate
+    if t < max(map(int.bit_count, tree._anc.values()), default=0):
         return rates.one * 0
     if method == "auto":
         return _run(_tree_program(tree), rates, t)[0]
-    return _paper_prob(_paper_terms(tree, rates), t, rates.exact)
+    return _paper_prob(_tree_runs(tree), rates, t)
 
 
-def _height(tree):
-    """The most vertices on a path from the root (0 for the empty tree)."""
-    return max(map(int.bit_count, tree._anc.values()), default=0)
-
-
-def _paper_terms(tree, rates):
-    """The paper's formula for one tree but the horizon: the tree's
-    _height, the lambda of the empty state, and per stump set S (lambda_S,
-    A_S) by the stump-set product rule (_stump_sums) with waiting weights
-    rho(alpha) / lambda_diff."""
+def _paper_prob(runs, rates, t):
+    """P at step t by the paper's formula over the runs of a tree or a state
+    (masks by link, keys the runs' intervals): the sum over stump sets S of
+    A_S (lambda_S^t - lambda_empty^t), A_S by _stump_sums with waiting
+    weights rho(a) / lambda_diff over the interval of a's run, a denominator
+    that the roots of a run share."""
     n = rates.n
-    lam0 = lam_interval(rates, [], 1, n)
-    if not tree.G:
-        return 0, lam0, []
-
-    def w(a, mask):
-        return rates.rho(a) / lambda_diff(rates, sorted(tree.mask_vertices(mask)),
-                                          tree.lo[a], tree.hi[a])
-
-    stumps = [(lam_interval(rates, sorted(tree.mask_vertices(stump)), 1, n), coef)
-              for stump, coef in _stump_sums(tree, w, rates.exact).items()]
-    return _height(tree), lam0, stumps
-
-
-def _paper_prob(terms, t, exact):
-    """A tree's probability at step t from its _paper_terms: the sum over
-    stump sets S of A_S (lambda_S^t - lambda_empty^t). A step breaks each
-    fragment at most once, so a tree deeper than t cannot be matched: that
-    is an exact 0, where the float sum leaves a residue."""
-    height, lam0, stumps = terms
-    if t < height:
-        return Fraction(0) if exact else 0.0
-    p0 = lam0 ** t
-    if not stumps:
+    p0 = lam_interval(rates, [], 1, n) ** t
+    if not runs:
         return p0
-    vals = [(lam ** t - p0) * coef for lam, coef in stumps]
-    return _clamp_prob(sum(vals) if exact else math.fsum(vals), exact)
-
-
-def _paper_dist(trees_terms, t, exact):
-    """P(state at step t) by the paper's route, from the _paper_terms of
-    each of the state's trees."""
-    vals = [_paper_prob(terms, t, exact) for terms in trees_terms]
-    return sum(vals, Fraction(0)) if exact else math.fsum(vals)
+    diff = functools.cache(lambda key, m: lambda_diff(rates, _state_links(m), *key))
+    stumps = _stump_sums(runs, lambda key, a, m: rates.rho(a) / diff(key, m), rates.exact)
+    vals = [(lam_interval(rates, _state_links(s), 1, n) ** t - p0) * coef
+            for s, coef in stumps.items()]
+    return _clamp_prob(sum(vals) if rates.exact else math.fsum(vals), rates.exact)
 
 
 def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     """P(state = G at time t) for the discrete chain.
 
-    "auto" runs the interval recursion. "direct" sums the matching
-    probabilities of all fragmentation trees of G by the paper's formula;
-    only it is subject to the budget.
+    "auto" runs the interval recursion. "direct" runs the paper's formula
+    summed over all Catalan(|G|) trees of G, building none: a subtree on the
+    run g[i:j] of the sorted links lies between g[i-1] and g[j] (or a chain
+    end) whatever its parent, so _stump_sums runs over every run, shortest
+    first, any link the root. Only it is subject to the budget, which counts
+    its products, the sum over run lengths k of (|G| - k + 1) k 2^(k-1).
     """
     _need(rates, "discrete", "dist_discrete", t)
     _check_method(method)
-    g = set(_links(G, rates.n))
+    g = sorted(set(_links(G, rates.n)))
     if method == "auto":
         return _run(_state_program(rates.n, sum(1 << (a - 1) for a in g)), rates, t)[0]
-    from .fragments import enumerate_fragmentation_trees
+    m = len(g)
+    cost = sum((m - k + 1) * k << (k - 1) for k in range(1, m + 1))
+    if cost > budget:
+        raise BudgetError(f"|G|={m} needs {cost} products, over the budget of {budget}")
+    if t < m.bit_length():  # every tree of G is deeper than t: an exact 0
+        return rates.one * 0
+    cut = [0, *g, rates.n + 1]
 
-    trees = enumerate_fragmentation_trees(g, rates.n, budget)
-    return _paper_dist([_paper_terms(tr, rates) for tr in trees], t,
-                       rates.exact)
+    def key(i, j):  # the interval of the run g[i:j], between g[i - 1] and g[j]
+        return cut[i] + 1, cut[j + 1] - 1
+
+    runs = [(key(i, j), [(g[r], 1 << (g[r] - 1), [key(x, y) for x, y in ((i, r), (r + 1, j))
+                                                   if x < y]) for r in range(i, j)])
+            for k in range(1, m + 1) for i in range(m - k + 1) for j in [i + k]]
+    return _paper_prob(runs, rates, t)
 
 
 def dist_discrete_endpoints(G, rates, t):
@@ -686,8 +692,7 @@ def dist_discrete_endpoints(G, rates, t):
     """
     _need(rates, "discrete", "dist_discrete_endpoints", t)
     g = tuple(sorted(set(_links(G, rates.n))))
-    ends = {1, rates.n}
-    if not set(g) <= ends:
+    if not set(g) <= {1, rates.n}:
         raise ValueError("endpoint formula needs G inside {1, n}")
     vals = [(-1) ** (len(g) - k) * lam_interval(rates, list(h), 1, rates.n) ** t
             for k in range(len(g) + 1) for h in combinations(g, k)]
@@ -740,9 +745,12 @@ def _state_keys(n):
 
 def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
     """Full DistTable over every subset of 1..n. "auto" runs one interval
-    recursion program for all states at once; "direct" evaluates the
-    paper's formula state by state."""
+    recursion program for all states at once, for n <= TABLE_MAX_N;
+    "direct" evaluates the paper's formula state by state."""
     _need(rates, "discrete", "dist_discrete_all", t)
+    _check_method(method)
+    if method == "auto" and rates.n > TABLE_MAX_N:
+        raise ValueError(f"the default full table is limited to n <= {TABLE_MAX_N}")
     keys = _state_keys(rates.n)
     if method == "auto":
         entries = dict(zip(keys, _run(_table_program(rates.n), rates, t)))
@@ -761,7 +769,12 @@ def dist_continuous_all(rates, t):
 
 
 def _state_links(mask):
-    return [a + 1 for a in range(mask.bit_length()) if mask >> a & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def transition_rows(rates):
@@ -858,20 +871,9 @@ def check_transition_spectrum(rates):
     are sorted by size, and does the diagonal equal the lambda eigenvalues
     exactly (same-code-path floats, or exact Fractions)."""
     rows = transition_rows(rates)
-    order = {s: i for i, s in enumerate(
-        sorted(rows, key=lambda m: (m.bit_count(), m)))}
-    triangular = True
-    for s, row in rows.items():
-        for s2 in row:
-            if order[s2] < order[s]:
-                triangular = False
-    diag_exact = True
-    max_err = 0
-    for s in rows:
-        lam = lam_interval(rates, _state_links(s), 1, rates.n)
-        d = rows[s].get(s, 0)
-        if d != lam:
-            diag_exact = False
-            max_err = max(max_err, abs(float(d) - float(lam)))
-    return {"states": len(rows), "triangular": triangular,
-            "diagonal_exact": diag_exact, "max_diag_error": float(max_err)}
+    order = {s: i for i, s in enumerate(sorted(rows, key=lambda m: (m.bit_count(), m)))}
+    errs = [abs(float(d) - float(lam)) for s in rows if (d := rows[s].get(s, 0))
+            != (lam := lam_interval(rates, _state_links(s), 1, rates.n))]
+    return {"states": len(rows),
+            "triangular": all(order[s] <= order[s2] for s, row in rows.items() for s2 in row),
+            "diagonal_exact": not errs, "max_diag_error": float(max(errs, default=0))}

@@ -131,12 +131,7 @@ class RootedTree:
 
     def mask_vertices(self, mask):
         """Vertices of a mask, in the fixed vertex order."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.vertices[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return tuple(self.vertices[i] for i in _bits(mask))
 
     def component_masks(self, hmask):
         """For each vertex v, the mask of v's component of the tree minus the

@@ -331,6 +331,48 @@ def test_dist_table_cap(tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_dist_table_past_the_recursion_cap_compiles_nothing(tmp_path, capsys):
+    # the default table's program doubles per link (164 MiB max RSS at
+    # n = 16); n = 17 is refused before any state key or program is built
+    from fragchain import probabilities as pr
+
+    p = tmp_path / "rates17.json"
+    p.write_text(json.dumps({"mode": "discrete",
+                             "rho": {str(a): 0.9 / 17 for a in range(1, 18)}}))
+    caches = pr._cached_table_program.cache_info(), pr._state_keys.cache_info()
+    assert run(["dist", "--rates", str(p), "--time", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "n <= 16" in captured.err
+    assert (pr._cached_table_program.cache_info(), pr._state_keys.cache_info()) == caches
+
+
+@pytest.mark.parametrize("subset", [" +2", "x", "1,,2", "2,-1", "1_0", "\u0663"],
+                         ids=["plus sign", "letter", "empty token", "minus sign",
+                              "underscore", "arabic-indic digit"])
+def test_subset_token_that_is_not_ascii_digits_exits_2(subset, rates_file, capsys):
+    # int() reads " +2" as 2, "1_0" as 10 and "\u0663" as 3
+    assert run(["dist", "--rates", rates_file, "--time", "2", "--subset", subset]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --subset ")
+
+
+def test_poset_interval_without_a_colon_exits_2(rooted_file, capsys):
+    # "1" once read as H = {1} and K = the empty set, exit 0
+    assert run(["poset", "--tree", rooted_file, "--interval", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--interval" in captured.err
+
+
+def test_poset_negative_max_edges_exits_2(rooted_file, capsys):
+    assert run(["poset", "--tree", rooted_file, "--max-edges", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--max-edges" in captured.err
+
+
 @pytest.fixture
 def frag_and_rooted_files(tmp_path):
     """A fragmentation tree on 9 links and the same tree as a bare rooted
@@ -913,7 +955,7 @@ def test_entry_point_loads_only_what_each_command_runs(rates_file, tree_file,
 VERIFY_N5_NO_SAMPLES_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=2.567e-16, recursion max|err|=8.327e-17
+pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=3.643e-16, recursion max|err|=8.327e-17
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.665e-16
 pass  matrix_triangular_eigenvalues    states=32, max_diag_error=0.000e+00
@@ -927,7 +969,7 @@ verify: PASS
 VERIFY_N6_NO_SAMPLES_STDOUT = """\
 pass  mobius_closed_vs_recursive       17 shapes, 675 pairs, 0 mismatches
 pass  mobius_inversion_roundtrip       20 trials, 0 mismatches
-pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=9.151e-17, recursion max|err|=2.776e-17
+pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=1.422e-16, recursion max|err|=2.776e-17
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.110e-16
 pass  matrix_triangular_eigenvalues    states=64, max_diag_error=0.000e+00

@@ -333,7 +333,12 @@ def test_stump_sums_match_the_cut_set_oracle():
                                             rng.randint(1, 9))
             return weights[a, comp]
 
-        got = probabilities._stump_sums(tree, lambda a, m: w(a, tree.vertex_set(m)), True)
+        # the run form of a rooted tree: one run per vertex, children first,
+        # the vertex its only root and its children the sides
+        runs = [(v, [(v, 1 << tree._bit[v], tree.children[v])])
+                for v in reversed(tree.vertices)]
+        got = probabilities._stump_sums(runs, lambda key, a, m: w(a, tree.vertex_set(m)),
+                                        True)
         assert {tree.vertex_set(m): v for m, v in got.items()} == bf_cut_set_sum(tree, w)
 
 
@@ -1129,21 +1134,48 @@ def test_continuous_small_rate_relative_error():
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_shared_horizon_terms_equal_dist_discrete(exact, rng):
-    # the paper's terms of each tree, built once and evaluated at every
-    # horizon as verify does, give dist_discrete to the bit, and the sum of
-    # the per-tree probabilities that dist_discrete once took
+    # the paper's route over a state's runs, taken at every horizon of
+    # verify's grid through the full table as verify does, gives
+    # dist_discrete to the bit; in rational mode it is the sum of the
+    # per-tree probabilities, and in float mode too where the state has one
+    # tree, whose runs are the state's
     grid = (0, 1, 2, 5, 10, 20)
     for n in range(1, 6):
         r = random_rates(n, rng, total=1 if n % 2 else 0.9, exact=exact)
-        for G in _subsets(n):
-            trees = enumerate_fragmentation_trees(G, n)
-            terms = [probabilities._paper_terms(tr, r) for tr in trees]
-            for t in grid:
-                shared = probabilities._paper_dist(terms, t, r.exact)
-                assert type(shared) is (Fraction if exact else float)
-                assert shared == dist_discrete(G, r, t, method="direct")
+        for t in grid:
+            table = dist_discrete_all(r, t, method="direct")
+            for G in _subsets(n):
+                p = dist_discrete(G, r, t, method="direct")
+                assert type(p) is (Fraction if exact else float)
+                assert p == table[G]
+                trees = enumerate_fragmentation_trees(G, n)
                 vals = [tree_prob_discrete(tr, r, t, "direct") for tr in trees]
-                assert shared == (sum(vals, Fraction(0)) if exact else math.fsum(vals))
+                if exact:
+                    assert p == sum(vals, Fraction(0))
+                elif len(trees) == 1:
+                    assert p == math.fsum(vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([Fraction(1, 2), Fraction(9, 10), 1]),
+       st.integers(0, 7), st.integers(0), st.randoms(use_true_random=False))
+def test_state_table_equals_the_sum_over_trees(n, total, t, pick, rnd):
+    # the paper's route for a state, one table over the runs of G, against
+    # the sum of the per-tree formula over the state's Catalan(|G|) trees
+    r = random_rates(n, rnd, total=total, exact=True)
+    G = probabilities._state_keys(n)[pick % 2**n]
+    vals = [tree_prob_discrete(tr, r, t, "direct")
+            for tr in enumerate_fragmentation_trees(G, n)]
+    p = dist_discrete(G, r, t, method="direct")
+    assert type(p) is Fraction and p == sum(vals, Fraction(0))
+
+
+def test_state_table_enumerates_no_tree():
+    # |G| = 12 has 208,012 trees, far past the enumeration budget, while the
+    # run table takes 81,936 products
+    rates = RateSpec("discrete", {a: Fraction(a, 78) for a in range(1, 13)})
+    want = dist_discrete(range(1, 13), rates, 6)
+    assert want > 0 and dist_discrete(range(1, 13), rates, 6, method="direct") == want
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -1,7 +1,7 @@
 """The invariant suite that `fragchain verify` runs. Each group builds what
-it reads: a group that judges trees enumerates a state's trees when it
-reaches the state, while the paper's route sums a state's trees in one
-table over its runs (probabilities.dist_discrete), building none. The
+it reads: the Monte Carlo groups enumerate the trees of each state they
+judge, while both paper groups sum every state's trees on one table
+program per horizon (probabilities._paper_probs), building none. The
 groups that the acceptance tests share are functions that return the
 numbers judged.
 """
@@ -12,7 +12,7 @@ import random
 import time
 
 from . import fragments, poset, probabilities as pr, simulate as sim, trees
-from .errors import _need
+from .errors import DEFAULT_BUDGET, _need
 
 
 def mobius_closed_vs_recursive(max_edges):
@@ -45,15 +45,15 @@ def mobius_inversion_roundtrip(rng, trials, max_edges):
 
 
 def continuous_tree_sum_vs_closed(crates, horizons):
-    """Per horizon and state, the tree probabilities' sum against the closed form.
-    Returns (max tree-sum error, max |sum-1| of the closed forms)."""
+    """Per horizon and state, the paper's formula summed over the state's trees
+    (the direct table, with no tree built) against the closed form. Returns
+    (max tree-sum error, max |sum-1| of the closed forms)."""
     err = 0.0
     totals = {t: [] for t in horizons}
-    for G in pr._state_keys(crates.n):
-        ts = fragments.enumerate_fragmentation_trees(G, crates.n)
-        for t in horizons:
+    prog = pr._table_program(crates.n)
+    for t in horizons:
+        for G, s in zip(pr._state_keys(crates.n), pr._paper_probs(prog, crates, t)):
             closed = pr.dist_continuous(G, crates, t)
-            s = math.fsum(pr.tree_prob_continuous(tr, crates, t) for tr in ts)
             err = max(err, abs(s - closed))
             totals[t].append(closed)
     return err, max(abs(math.fsum(tot) - 1.0) for tot in totals.values())
@@ -61,10 +61,15 @@ def continuous_tree_sum_vs_closed(crates, horizons):
 
 def tree_concordance(rates, t, counts, samples):
     """z-scores of batch_tree_counts(rates, t, samples, seed) against every tree
-    probability of rates.mode. Returns (trees judged, max |z|, likeliest tree)."""
-    prob = pr.tree_prob_discrete if rates.mode == "discrete" else pr.tree_prob_continuous
+    probability of rates.mode. Returns (trees judged, max |z|, likeliest tree).
+    Discrete trees of |G| links are at least |G|.bit_length() high: before
+    that, their probability is 0, never judged, and none is built."""
+    discrete = rates.mode == "discrete"
+    prob = pr.tree_prob_discrete if discrete else pr.tree_prob_continuous
     judged, worst, best, pbest = 0, 0.0, None, 0
     for G in pr._state_keys(rates.n):
+        if discrete and t < len(G).bit_length():  # every tree deeper than t: p = 0
+            continue
         for tr in fragments.enumerate_fragmentation_trees(G, rates.n):
             p = prob(tr, rates, t)
             if min(p, 1 - p) < 1e-3:  # too close to 0 or 1 for a z-score
@@ -89,7 +94,7 @@ def coupled_vs_direct(tree, rates, t, counts, samples, seed):
 
 def _verify_inputs(args):
     """Check every option before any group runs. Returns the rates of the
-    --rates file (None without one) and the t-grid."""
+    --rates file (None without one), the t-grid and its middle horizon."""
     rates = None
     if args.rates is not None:
         from . import serialize
@@ -113,13 +118,19 @@ def _verify_inputs(args):
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    return rates, [int(x) for x in tgrid]
+    tgrid = [int(x) for x in tgrid]
+    t = tgrid[len(tgrid) // 2] or 1  # the Monte Carlo groups': G of up to 2^t - 1 links
+    m = min(n, 2 ** min(t, n) - 1)
+    if args.samples > 0 and fragments.catalan(m) << (m - 1) > DEFAULT_BUDGET:
+        raise ValueError(f"--samples > 0 at the middle horizon t={t} enumerates the trees "
+                         f"of |G|={m} links, past the tree budget; use --samples 0")
+    return rates, tgrid, t
 
 
 def cmd_verify(args, write_out):
     if args.seed is None:
         args.seed = sim.DEFAULT_SEED
-    rates, tgrid = _verify_inputs(args)
+    rates, tgrid, mid = _verify_inputs(args)
     rng = random.Random(args.seed)
     tol = args.tol
     groups = []
@@ -178,14 +189,13 @@ def cmd_verify(args, write_out):
     group("normalization_continuous", nerr <= tol, f"max|sum-1|={nerr:.3e}")
 
     if args.samples > 0:
-        t = tgrid[len(tgrid) // 2] or 1
-        counts = sim.batch_tree_counts(rates, t, args.samples, args.seed)
-        _, worst, _ = tree_concordance(rates, t, counts, args.samples)
+        counts = sim.batch_tree_counts(rates, mid, args.samples, args.seed)
+        _, worst, _ = tree_concordance(rates, mid, counts, args.samples)
         group("mc_tree_concordance", worst <= 4.0,
               f"N={args.samples}, max|z|={worst:.2f}")
         G = rng.sample(range(1, rates.n + 1), min(2, rates.n))
         pool = fragments.enumerate_fragmentation_trees(G, rates.n)
-        z = coupled_vs_direct(pool[rng.randrange(len(pool))], rates, t, counts,
+        z = coupled_vs_direct(pool[rng.randrange(len(pool))], rates, mid, counts,
                               args.samples, args.seed)
         group("coupled_vs_direct", z <= 4.0, f"N={args.samples}, max|z|={z:.2f}")
     else:

@@ -280,7 +280,8 @@ METHOD_HELP = ("discrete route: auto (default) is the interval recursion; "
                "direct is the paper's tree/inclusion-exclusion formula")
 BUDGET_HELP = ("cap on the term count of tree enumeration, catalan(|G|) 2^(|G|-1), "
                "and on the products of the formula route --method direct, the sum "
-               "over run lengths L of (|G|-L+1) L 2^(L-1); it caps no other route")
+               "over run lengths L of (m-L+1) L b^(L-1), m = |G| and b = 2 for a "
+               "subset, m = n and b = 3 for a full table; it caps no other route")
 
 
 def build_parser():

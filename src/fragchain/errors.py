@@ -5,8 +5,9 @@ steps or continuous time) and a tree's n by the functions here."""
 import math
 
 #: default cap on tree enumeration's catalan(|G|) * 2^(|G|-1) terms, which
-#: admits |G| <= 10, and on the products of the paper's state route, the sum
-#: over run lengths L of (|G|-L+1) L 2^(L-1), which admits |G| <= 18
+#: admits |G| <= 10, and on the products of the paper's route over the runs
+#: of m links, the sum over run lengths L of (m-L+1) L b^(L-1): b = 2 for a
+#: state, which admits |G| <= 18, and b = 3 for a full table, n <= 12
 DEFAULT_BUDGET = 10**7
 
 

@@ -25,10 +25,10 @@ links. Discrete-chain probabilities have three routes:
 * the paper's route (method="direct"): a sum over the Catalan(|G|)
   fragmentation trees of G, each an inclusion-exclusion sum over the cut
   sets of its edges, with the waiting-rate denominators of lambda_diff, by
-  the stump-set product rule (_stump_sums), which runs over the runs of G,
-  summing all its trees with none built, or one run per vertex of a tree.
-  Only this route and tree enumeration are subject to the budget
-  (BudgetError);
+  the stump-set product rule (_stump_sums) over the states of the same
+  programs: a tree's vertices, or every run of G (of the chain, for a
+  table) with its trees summed and none built. Only this route and tree
+  enumeration are subject to the budget (BudgetError);
 * oracles: the transition-matrix power (discrete) and the uniformised
   generator exponential (continuous), built straight from the one-step
   definition and kept for comparison only. Both multiply a sparse vector by
@@ -271,63 +271,76 @@ def _clamp_prob(raw, exact):
     return min(1.0, max(0.0, raw))
 
 
-def _stump_sums(runs, w, exact):
+def _stump_sums(prog, w, exact, most):
     """The paper's inclusion-exclusion over the cut sets H of a tree's edges
-    by stump set, summed over a family of trees: {S: A_S}, A_S the sum over
-    the trees and H with root component S of (-1)^|H| prod over the vertices
-    a of w(key, a, C_a), C_a a's component below a (a mask), key its run's.
-    runs lists (key, roots) children first, a root (a, bit, sides) naming
-    its nonempty sides' runs. As the pruning poset factors
-    (poset.product_factorization), Psi_key(C) = sum over the roots a of
-    w(key, a, C) prod over a's sides s of [C meets s ? Psi_s(C within s) :
-    -sum of Psi_s], and A = Psi of the last run; floats sum by math.fsum."""
-    psi, cuts = {}, {}
+    by stump set, for each inner state i of at most `most` links of a
+    program, summed over its trees: psi[i] = {S: A_S}, A_S the sum over the
+    trees and H with root component S of (-1)^|H| prod over the vertices a
+    of w(key, a, C_a), C_a a's component below a (a mask by link), key the
+    interval of a's state. As the pruning poset factors, Psi_i(C) = sum
+    over the breaks a of i of w(key, a, C) prod over a's inner sides s of
+    [C meets s ? Psi_s(C within s) : -sum of Psi_s]. Sides have higher
+    indices, so the walk runs from the last inner state down."""
+    ranks, ks, inner = prog.ranks, prog.ks, len(prog.ranks[-1][0])
+    psi, cuts = [None] * inner, [None] * inner
     total = sum if exact else math.fsum
-    for key, roots in runs:
+    for i in reversed(range(inner)):
+        if ks[i] > most:
+            continue
+        key = prog.intervals[prog.iv[i]]
+        roots = [(links[i], ls[i], rs[i]) for links, ls, rs in ranks if i < len(links)]
         terms = {}
-        for a, bit, sides in roots:
-            acc = [(bit, 1)]
-            for s in sides:
-                acc = [(m | mc, x * y) for m, x in acc for mc, y in [(0, cuts[s]), *psi[s].items()]]
-            if len(roots) == 1:  # a tree's vertex writes its dict directly
+        for a, l, r in roots:
+            acc = [(1 << (a - 1), 1)]
+            for s in (l, r):
+                if s < inner:
+                    acc = [(m | mc, x * y) for m, x in acc
+                           for mc, y in [(0, cuts[s]), *psi[s].items()]]
+            if len(roots) == 1:  # one root, as a tree's vertex: written directly
                 terms = {m: w(key, a, m) * x for m, x in acc}
             else:
                 for m, x in acc:
                     terms.setdefault(m, []).append(w(key, a, m) * x)
-        psi[key] = terms if len(roots) == 1 else {m: total(xs) for m, xs in terms.items()}
-        cuts[key] = -total(psi[key].values())
-    return psi[key]
+        psi[i] = terms if len(roots) == 1 else {m: total(xs) for m, xs in terms.items()}
+        cuts[i] = -total(psi[i].values())
+    return psi
 
 
-def _tree_runs(tree):
-    """A fragmentation tree's runs: one per vertex a, keyed by a's interval,
-    a the only root with bit a - 1, and its children's runs as its sides."""
-    return [((tree.lo[a], tree.hi[a]), [(a, 1 << (a - 1), [
-        (tree.lo[c], tree.hi[c]) for c in tree.children[a]])]) for a in tree.postorder]
+def _paper_probs(prog, rates, t):
+    """The paper's formula at time t for each output of a program: the sum
+    over stump sets S of A_S (_stump_sums) times the chance that S, and
+    nothing else, has broken. Discrete: weights rho(a) / lambda_diff over
+    a's state, terms lambda_S^t - lambda_empty^t, an exact 0 below the
+    least tree height. Continuous: weights rho(a) / R(C), the total rate of
+    a's component, terms (1 - e^(-R_S t)) e^(-(R - R_S) t). Intact outputs
+    are lambda_empty^t or e^(-R t), the others verified and clamped."""
+    n, inner, discrete = rates.n, len(prog.ranks[-1][0]), rates.mode == "discrete"
+    exact = rates.exact and discrete
+    if discrete:
+        p0 = lam_interval(rates, [], 1, n) ** t
+        diff = functools.cache(lambda key, m: lambda_diff(rates, _state_links(m), *key))
+        w = lambda key, a, m: rates._rho[a] / diff(key, m)
+        term = lambda s: lam_interval(rates, _state_links(s), 1, n) ** t - p0
+    else:
+        total_f = float(rates.rho_run(1, n))
+        rho, p0 = rates.as_float()._rho, math.exp(-total_f * t)
+        rate = functools.cache(lambda m: math.fsum(map(rho.__getitem__, _state_links(m))))
+        w = lambda key, a, m: rho[a] / rate(m)
+        term = lambda s: -math.expm1(-rate(s) * t) * math.exp(-(total_f - rate(s)) * t)
+    live = [o for o in prog.outs if o < inner and (t >= prog.ks[o].bit_length() or not discrete)]
+    psi = _stump_sums(prog, w, exact, max(prog.ks[o] for o in live)) if live else []
+    stumps = {s for o in live for s in psi[o]}
+    terms, total = dict(zip(stumps, map(term, stumps))), sum if exact else math.fsum
+    vals = {o: _clamp_prob(total([terms[s] * c for s, c in psi[o].items()]), exact) for o in live}
+    return [p0 if o >= inner else vals.get(o, rates.one * 0) for o in prog.outs]
 
 
 def tree_prob_continuous(tree, rates, t):
-    """P(the continuous chain matches this fragmentation tree at time t).
-
-    The stump-set product rule (_stump_sums) with waiting weights rho(alpha)
-    over the total rate of alpha's component: the sum over stump sets S of
-    A_S times the chance that all of S has broken and nothing else has.
-    Summed by math.fsum, then verified and clamped to [0, 1].
-    """
+    """P(the continuous chain matches this fragmentation tree at time t):
+    the paper's formula on the tree's program (_paper_probs), with waiting
+    weights rho(alpha) over the total rate of alpha's component."""
     t = _need(rates, "continuous", "tree_prob_continuous", t, tree)
-    total_f = float(rates.rho_run(1, rates.n))
-    if not tree.G:
-        return math.exp(-total_f * t)
-    rho_f = {a: float(rates.rho(a)) for a in tree.G}
-    sums = {}  # each component's total rate, kept for the stump sets
-
-    def w(key, a, mask):
-        sums[mask] = r = math.fsum(map(rho_f.__getitem__, _state_links(mask)))
-        return rho_f[a] / r
-
-    stumps = _stump_sums(_tree_runs(tree), w, False)
-    return _clamp_prob(math.fsum(-math.expm1(-sums[s] * t) * math.exp(-(total_f - sums[s]) * t)
-                                 * coef for s, coef in stumps.items()), False)
+    return _paper_probs(_tree_program(tree), rates, t)[0]
 
 
 def _compile(n, keys, tops):
@@ -604,9 +617,20 @@ def _run(prog, rates, t):
     return [_clamp_prob(x, False) for x in out]
 
 
-def _check_method(method):
+def _route(method, budget=0, what="", m=0, base=2):
+    """A route's run on a program: _run for "auto", or for "direct"
+    _paper_probs once its products are within the budget, the sum over run
+    lengths L of (m - L + 1) L base^(L-1): base 2 for a state of m links,
+    3 for a table of m, whose run of L links has 2^L masks; a tree (m = 0)
+    is not counted."""
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto":
+        return _run
+    cost = sum((m - L + 1) * L * base ** (L - 1) for L in range(1, m + 1))
+    if cost > budget:
+        raise BudgetError(f"{what}={m} needs {cost} products, over the budget of {budget}")
+    return _paper_probs
 
 
 def tree_prob_discrete(tree, rates, t, method="auto"):
@@ -615,40 +639,20 @@ def tree_prob_discrete(tree, rates, t, method="auto"):
     "auto" runs the interval recursion with the root of every interval
     fixed by the tree, g(u) = lambda_I g(u-1) + rho(root) g_left(u-1)
     g_right(u-1), as the tree's program (_tree_program) on _run. "direct"
-    runs the paper's inclusion-exclusion over cut sets H by the stump-set
-    product rule over the tree's runs, one per vertex (_tree_runs,
-    _paper_prob), with waiting weights rho(alpha) /
+    runs the paper's inclusion-exclusion over cut sets H on the same
+    program (_paper_probs), with waiting weights rho(alpha) /
     (lambda^{I_alpha}_{G_alpha(H)} - lambda^{I_alpha}_empty) (see
     lambda_diff): the sum over stump sets S of A_S (lambda_S^t -
     lambda_empty^t). Exact in rational mode; compensated float sum
     otherwise.
     """
     _need(rates, "discrete", "tree_prob_discrete", t, tree)
-    _check_method(method)
+    run = _route(method)
     # a step breaks each fragment at most once, so a tree deeper than t has
     # probability 0: exact, before either route reads a rate
     if t < max(map(int.bit_count, tree._anc.values()), default=0):
         return rates.one * 0
-    if method == "auto":
-        return _run(_tree_program(tree), rates, t)[0]
-    return _paper_prob(_tree_runs(tree), rates, t)
-
-
-def _paper_prob(runs, rates, t):
-    """P at step t by the paper's formula over the runs of a tree or a state
-    (masks by link, keys the runs' intervals): the sum over stump sets S of
-    A_S (lambda_S^t - lambda_empty^t), A_S by _stump_sums with waiting
-    weights rho(a) / lambda_diff over the interval of a's run, a denominator
-    that the roots of a run share."""
-    n = rates.n
-    p0 = lam_interval(rates, [], 1, n) ** t
-    if not runs:
-        return p0
-    diff = functools.cache(lambda key, m: lambda_diff(rates, _state_links(m), *key))
-    stumps = _stump_sums(runs, lambda key, a, m: rates.rho(a) / diff(key, m), rates.exact)
-    vals = [(lam_interval(rates, _state_links(s), 1, n) ** t - p0) * coef
-            for s, coef in stumps.items()]
-    return _clamp_prob(sum(vals) if rates.exact else math.fsum(vals), rates.exact)
+    return run(_tree_program(tree), rates, t)[0]
 
 
 def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
@@ -657,30 +661,14 @@ def dist_discrete(G, rates, t, budget=DEFAULT_BUDGET, method="auto"):
     "auto" runs the interval recursion. "direct" runs the paper's formula
     summed over all Catalan(|G|) trees of G, building none: a subtree on the
     run g[i:j] of the sorted links lies between g[i-1] and g[j] (or a chain
-    end) whatever its parent, so _stump_sums runs over every run, shortest
-    first, any link the root. Only it is subject to the budget, which counts
-    its products, the sum over run lengths k of (|G| - k + 1) k 2^(k-1).
+    end) whatever its parent, which is a state of G's program
+    (_state_program), so _paper_probs sums them run by run, any link the
+    root. Only it is subject to the budget (_route).
     """
     _need(rates, "discrete", "dist_discrete", t)
-    _check_method(method)
-    g = sorted(set(_links(G, rates.n)))
-    if method == "auto":
-        return _run(_state_program(rates.n, sum(1 << (a - 1) for a in g)), rates, t)[0]
-    m = len(g)
-    cost = sum((m - k + 1) * k << (k - 1) for k in range(1, m + 1))
-    if cost > budget:
-        raise BudgetError(f"|G|={m} needs {cost} products, over the budget of {budget}")
-    if t < m.bit_length():  # every tree of G is deeper than t: an exact 0
-        return rates.one * 0
-    cut = [0, *g, rates.n + 1]
-
-    def key(i, j):  # the interval of the run g[i:j], between g[i - 1] and g[j]
-        return cut[i] + 1, cut[j + 1] - 1
-
-    runs = [(key(i, j), [(g[r], 1 << (g[r] - 1), [key(x, y) for x, y in ((i, r), (r + 1, j))
-                                                   if x < y]) for r in range(i, j)])
-            for k in range(1, m + 1) for i in range(m - k + 1) for j in [i + k]]
-    return _paper_prob(runs, rates, t)
+    g = set(_links(G, rates.n))
+    run = _route(method, budget, "|G|", len(g))
+    return run(_state_program(rates.n, sum(1 << (a - 1) for a in g)), rates, t)[0]
 
 
 def dist_discrete_endpoints(G, rates, t):
@@ -744,19 +732,16 @@ def _state_keys(n):
 
 
 def dist_discrete_all(rates, t, budget=DEFAULT_BUDGET, method="auto"):
-    """Full DistTable over every subset of 1..n. "auto" runs one interval
-    recursion program for all states at once, for n <= TABLE_MAX_N;
-    "direct" evaluates the paper's formula state by state."""
+    """Full DistTable over every subset of 1..n, by one program for all
+    states at once: "auto" runs the interval recursion, for n <=
+    TABLE_MAX_N; "direct" the paper's formula (_paper_probs), within the
+    budget (_route)."""
     _need(rates, "discrete", "dist_discrete_all", t)
-    _check_method(method)
-    if method == "auto" and rates.n > TABLE_MAX_N:
+    run = _route(method, budget, "n", rates.n, 3)
+    if run is _run and rates.n > TABLE_MAX_N:
         raise ValueError(f"the default full table is limited to n <= {TABLE_MAX_N}")
     keys = _state_keys(rates.n)
-    if method == "auto":
-        entries = dict(zip(keys, _run(_table_program(rates.n), rates, t)))
-    else:
-        entries = {G: dist_discrete(G, rates, t, budget, method) for G in keys}
-    return DistTable("discrete", t, entries)
+    return DistTable("discrete", t, dict(zip(keys, run(_table_program(rates.n), rates, t))))
 
 
 def dist_continuous_all(rates, t):

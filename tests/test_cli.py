@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from fragchain import catalan, dist_discrete, mobius, tree_prob_discrete
-from fragchain.cli import run
+from fragchain import checks
+from fragchain.cli import build_parser, run
 from fragchain.serialize import dist_from_csv, fragtree_to_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -491,6 +492,26 @@ def test_verify_rejects_bad_option_before_any_group(option, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_verify_refuses_samples_past_the_tree_budget(capsys):
+    # the middle horizon t = 10 reaches states of all 12 links, whose trees
+    # the Monte Carlo groups would enumerate past the budget: exit 2 before
+    # any group, instead of 3 after the others have run
+    assert run(["verify", "--n", "12", "--t-grid", "0,10,20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "--samples" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--n", "11", "--samples", "0"], ["--n", "12"],
+                                  ["--n", "10", "--t-grid", "0,10,20"]],
+                         ids=lambda a: " ".join(a))
+def test_verify_accepts_runs_within_the_tree_budget(argv):
+    args = build_parser().parse_args(["verify", "--seed", "1", *argv])
+    rates, tgrid, t = checks._verify_inputs(args)
+    assert rates is None and t == (tgrid[len(tgrid) // 2] or 1)
+
+
 def test_verify_rejects_oversized_rates_file(tmp_path, capsys):
     p = tmp_path / "rates13.json"
     p.write_text(json.dumps({"mode": "discrete",
@@ -619,7 +640,7 @@ pass  discrete_formula_vs_matrix       n=4, t in [0, 1, 2, 5, 10], max|err|=1.66
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=5.551e-17
 pass  matrix_triangular_eigenvalues    states=16, max_diag_error=0.000e+00
-pass  continuous_tree_sum_vs_closed    n=4, max|err|=3.608e-16
+pass  continuous_tree_sum_vs_closed    n=4, max|err|=3.886e-16
 pass  normalization_continuous         max|sum-1|=1.110e-16
 pass  mc_tree_concordance              N=2000, max|z|=2.89
 pass  coupled_vs_direct                N=2000, max|z|=0.80
@@ -959,7 +980,7 @@ pass  discrete_formula_vs_matrix       n=5, t in [0, 1, 2, 5, 10], max|err|=3.64
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.665e-16
 pass  matrix_triangular_eigenvalues    states=32, max_diag_error=0.000e+00
-pass  continuous_tree_sum_vs_closed    n=5, max|err|=3.053e-16
+pass  continuous_tree_sum_vs_closed    n=5, max|err|=3.331e-16
 pass  normalization_continuous         max|sum-1|=1.110e-16
 skip  mc_tree_concordance              samples=0
 skip  coupled_vs_direct                samples=0
@@ -973,7 +994,7 @@ pass  discrete_formula_vs_matrix       n=6, t in [0, 1, 2, 5, 10], max|err|=1.42
 pass  normalization_discrete           max|sum-1|=1.110e-16
 pass  endpoints_vs_tree_formula        max|err|=1.110e-16
 pass  matrix_triangular_eigenvalues    states=64, max_diag_error=0.000e+00
-pass  continuous_tree_sum_vs_closed    n=6, max|err|=3.664e-15
+pass  continuous_tree_sum_vs_closed    n=6, max|err|=3.775e-15
 pass  normalization_continuous         max|sum-1|=2.220e-16
 skip  mc_tree_concordance              samples=0
 skip  coupled_vs_direct                samples=0

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragchain import (ConsistencyError, FragTree, Fragment, RateSpec,
-                       check_transition_spectrum, dist_continuous,
-                       dist_continuous_all, dist_discrete, dist_discrete_all,
-                       dist_discrete_endpoints, enumerate_fragmentation_trees,
-                       generator_matrix_dist, lambda_diff, lambda_value,
-                       random_rates, transition_matrix_dist, transition_rows,
+from fragchain import (BudgetError, ConsistencyError, FragTree, Fragment,
+                       RateSpec, batch_tree_counts, check_transition_spectrum,
+                       dist_continuous, dist_continuous_all, dist_discrete,
+                       dist_discrete_all, dist_discrete_endpoints,
+                       enumerate_fragmentation_trees, generator_matrix_dist,
+                       lambda_diff, lambda_value, random_rates,
+                       transition_matrix_dist, transition_rows,
                        tree_prob_continuous, tree_prob_discrete)
-from fragchain import checks, enumerate_tree_shapes, probabilities
+from fragchain import checks, probabilities
 from fragchain.probabilities import lam_interval
 
 from conftest import make_rng
@@ -320,11 +321,12 @@ def test_paper_route_is_zero_below_the_tree_height(exact):
 
 def test_stump_sums_match_the_cut_set_oracle():
     # random nonzero weights, one per (vertex, component), summed by the
-    # product rule and by every cut set one at a time, stump by stump
+    # product rule over a tree's program and by every cut set one at a
+    # time, stump by stump
     rng = random.Random(22)
-    frag = [tr for n in range(1, 7) for G in _subsets(n)
-            for tr in enumerate_fragmentation_trees(G, n) if tr.G]
-    for tree in [*enumerate_tree_shapes(5), *frag]:
+    links = probabilities._state_links
+    for tree in [tr for n in range(1, 7) for G in _subsets(n)
+                 for tr in enumerate_fragmentation_trees(G, n) if tr.G]:
         weights = {}
 
         def w(a, comp):
@@ -333,13 +335,13 @@ def test_stump_sums_match_the_cut_set_oracle():
                                             rng.randint(1, 9))
             return weights[a, comp]
 
-        # the run form of a rooted tree: one run per vertex, children first,
-        # the vertex its only root and its children the sides
-        runs = [(v, [(v, 1 << tree._bit[v], tree.children[v])])
-                for v in reversed(tree.vertices)]
-        got = probabilities._stump_sums(runs, lambda key, a, m: w(a, tree.vertex_set(m)),
-                                        True)
-        assert {tree.vertex_set(m): v for m, v in got.items()} == bf_cut_set_sum(tree, w)
+        def weight(key, a, m):  # masks by link; key the interval of a's state
+            assert key == (tree.lo[a], tree.hi[a])
+            return w(a, frozenset(links(m)))
+
+        prog = probabilities._tree_program(tree)
+        got = probabilities._stump_sums(prog, weight, True, len(tree.G))[0]
+        assert {frozenset(links(m)): v for m, v in got.items()} == bf_cut_set_sum(tree, w)
 
 
 def test_paper_route_on_a_deep_path():
@@ -350,6 +352,36 @@ def test_paper_route_on_a_deep_path():
     r = RateSpec("discrete", {a: Fraction(1, 50) for a in range(1, 41)})
     for t in (39, 40, 45):
         assert tree_prob_discrete(tree, r, t, "direct") == tree_prob_discrete(tree, r, t)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_continuous_tree_probabilities_sum_to_the_closed_form(n):
+    # the per-tree values, which verify's continuous group no longer reads:
+    # summed over each state's trees, they give the state's closed form
+    crates = random_rates(n, random.Random(40 + n), mode="continuous")
+    for G in probabilities._state_keys(n):
+        trees = enumerate_fragmentation_trees(G, n)
+        for t in (0.1, 1.0, 5.0):
+            s = math.fsum(tree_prob_continuous(tr, crates, t) for tr in trees)
+            assert abs(s - dist_continuous(G, crates, t)) <= 1e-12
+
+
+def test_concordance_builds_no_tree_deeper_than_the_horizon(monkeypatch):
+    # verify's n = 8, t = 2 case: a state of over 3 links has no tree of
+    # height 2, so all its trees have probability 0 and none is judged
+    rates = random_rates(8, random.Random(8), total=1.0)
+    counts = batch_tree_counts(rates, 2, 2000, 11)
+    assert all(tree_prob_discrete(tr, rates, 2) == 0 for G in probabilities._state_keys(8)
+               if len(G) > 3 for tr in enumerate_fragmentation_trees(G, 8))
+    built = []
+    enum = checks.fragments.enumerate_fragmentation_trees
+    monkeypatch.setattr(checks.fragments, "enumerate_fragmentation_trees",
+                        lambda G, n: built.append(G) or enum(G, n))
+    judged, worst, best = checks.tree_concordance(rates, 2, counts, 2000)
+    # the same as over all 12,235 trees before states were skipped
+    want = (95, 3.4221658408045403, (8, ((3, None),)))
+    assert (judged, worst, best.structure_key()) == want
+    assert max(map(len, built)) == 3 and len(built) == 1 + 8 + 28 + 56
 
 
 def test_continuous_tree_sum(crates4):
@@ -1176,6 +1208,32 @@ def test_state_table_enumerates_no_tree():
     rates = RateSpec("discrete", {a: Fraction(a, 78) for a in range(1, 13)})
     want = dist_discrete(range(1, 13), rates, 6)
     assert want > 0 and dist_discrete(range(1, 13), rates, 6, method="direct") == want
+
+
+@given(st.integers(1, 6), st.sampled_from([Fraction(1, 2), Fraction(9, 10), 1]),
+       st.integers(0, 7), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_direct_table_equals_the_state_route_and_the_recursion(n, total, t, rnd):
+    # one pass over the table program against the paper's route state by
+    # state and against the interval recursion, to the last Fraction
+    r = random_rates(n, rnd, total=total, exact=True)
+    table = dist_discrete_all(r, t, method="direct")
+    assert table == dist_discrete_all(r, t)
+    for G, p in table.entries.items():
+        assert type(p) is Fraction and p == dist_discrete(G, r, t, method="direct")
+
+
+def test_direct_table_past_its_budget_compiles_nothing(monkeypatch):
+    # the table's products, the sum over run lengths L of (n - L + 1) L
+    # 3^(L-1), are counted before any program is built
+    monkeypatch.setattr(probabilities, "_compile", lambda *a: pytest.fail("compiled"))
+    monkeypatch.setattr(probabilities, "_state_keys", lambda n: pytest.fail("keyed"))
+    r13 = RateSpec("discrete", {a: 0.05 for a in range(1, 14)})
+    with pytest.raises(BudgetError, match="n=13 needs 14348911 products"):
+        dist_discrete_all(r13, 5, method="direct")
+    r12 = RateSpec("discrete", {a: 0.05 for a in range(1, 13)})
+    with pytest.raises(BudgetError, match="n=12 needs 4384392 products"):
+        dist_discrete_all(r12, 5, budget=4384391, method="direct")
 
 
 @pytest.mark.parametrize("n", range(1, 6))
